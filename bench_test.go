@@ -555,7 +555,7 @@ func BenchmarkKernelAsyncStripeAccumulate(b *testing.B) {
 	for _, k := range benchKs {
 		drows := RandomDense(len(cols), k, 3).Data
 		b.Run(fmt.Sprintf("K=%d/atomic", k), func(b *testing.B) {
-			out := atomicfloat.NewSlice(rows * k)
+			out := atomicfloat.View(make([]float64, rows*k))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
@@ -575,7 +575,7 @@ func BenchmarkKernelAsyncStripeAccumulate(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("K=%d/stripelocal", k), func(b *testing.B) {
-			out := atomicfloat.NewSlice(rows * k)
+			out := atomicfloat.View(make([]float64, rows*k))
 			var acc kernels.RowAccumulator
 			// Warm the scratch to its high-water mark so steady state is
 			// measured, as the pooled executor workspaces reach after their
@@ -622,9 +622,11 @@ func benchPanel() []sparse.NZ {
 	return entries
 }
 
-// panelMultiplyTiled is the shipped sync-panel inner loop: nonzeros within a
-// row are paired so the panel-local accumulation runs through the two-source
-// register-tiled Axpy2, with an odd leftover flushed via plain Axpy.
+// panelMultiplyTiled is the shipped sync-panel inner loop in its shared-row
+// form (buffer plus atomic flush; rows only the panel writes skip both):
+// nonzeros within a row are paired so the panel-local accumulation runs
+// through the two-source register-tiled Axpy2, with an odd leftover flushed
+// via plain Axpy.
 func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out *atomicfloat.Slice, acc []float64, k int) {
 	clear(acc)
 	prevRow := entries[0].Row
@@ -666,7 +668,7 @@ func BenchmarkKernelPanelMultiply(b *testing.B) {
 			for c := 0; c < nCols; c++ {
 				table[c] = bm.Row(c)
 			}
-			out := atomicfloat.NewSlice(rows * k)
+			out := atomicfloat.View(make([]float64, rows*k))
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))
@@ -695,7 +697,7 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 			table[c] = bm.Row(c)
 		}
 		perNZ := func(b *testing.B, axpy func(float64, []float64, []float64)) {
-			out := atomicfloat.NewSlice(rows * k)
+			out := atomicfloat.View(make([]float64, rows*k))
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))
@@ -721,7 +723,7 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 			perNZ(b, kernels.Axpy)
 		})
 		b.Run(fmt.Sprintf("K=%d/tiled", k), func(b *testing.B) {
-			out := atomicfloat.NewSlice(rows * k)
+			out := atomicfloat.View(make([]float64, rows*k))
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))

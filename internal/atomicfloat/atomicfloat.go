@@ -13,6 +13,7 @@ package atomicfloat
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Add atomically performs *addr += delta, where *addr holds the bit pattern
@@ -42,8 +43,14 @@ type Slice struct {
 	bits []uint64
 }
 
-// NewSlice returns a zero-initialized atomic vector of length n.
-func NewSlice(n int) *Slice { return &Slice{bits: make([]uint64, n)} }
+// View returns an atomic vector over f's own storage: every update through
+// the Slice is an update of f, with no second buffer and no copy-out.
+// float64 and uint64 share size and alignment, so the reinterpretation is
+// exact. An element may be accessed through the view and through f directly,
+// but not both concurrently — the plain access would race with the CAS.
+func View(f []float64) *Slice {
+	return &Slice{bits: unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f))), len(f))}
+}
 
 // Len returns the vector length.
 func (s *Slice) Len() int { return len(s.bits) }
@@ -68,21 +75,3 @@ func (s *Slice) Load(i int) float64 { return Load(&s.bits[i]) }
 
 // Store atomically writes s[i] = v.
 func (s *Slice) Store(i int, v float64) { Store(&s.bits[i], v) }
-
-// Float64s copies the current contents into a new []float64. It is intended
-// for use after all writers have finished; concurrent use sees each element
-// atomically but not a consistent snapshot of the whole vector.
-func (s *Slice) Float64s() []float64 {
-	out := make([]float64, len(s.bits))
-	for i := range s.bits {
-		out[i] = Load(&s.bits[i])
-	}
-	return out
-}
-
-// CopyTo writes the current contents into dst, which must have length Len().
-func (s *Slice) CopyTo(dst []float64) {
-	for i := range s.bits {
-		dst[i] = Load(&s.bits[i])
-	}
-}

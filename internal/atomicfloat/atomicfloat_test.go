@@ -43,7 +43,8 @@ func TestConcurrentAddExact(t *testing.T) {
 }
 
 func TestSliceBasics(t *testing.T) {
-	s := NewSlice(4)
+	f := make([]float64, 4)
+	s := View(f)
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -52,23 +53,47 @@ func TestSliceBasics(t *testing.T) {
 	if got := s.Load(2); got != 6 {
 		t.Fatalf("Load(2) = %v, want 6", got)
 	}
-	out := s.Float64s()
-	if out[2] != 6 || out[0] != 0 {
-		t.Fatalf("Float64s = %v", out)
+	if f[2] != 6 || f[0] != 0 {
+		t.Fatalf("viewed slice = %v", f)
 	}
-	dst := make([]float64, 4)
-	s.CopyTo(dst)
-	if dst[2] != 6 {
-		t.Fatalf("CopyTo = %v", dst)
+}
+
+// A view is the argument's own storage in both directions: updates through
+// the view land in the slice (bit patterns included), and plain writes to the
+// slice are what the view reads and adds onto.
+func TestViewAliasesArgument(t *testing.T) {
+	f := []float64{1, 2, 3}
+	s := View(f[1:])
+	s.AddRange(0, []float64{10, 20})
+	if f[0] != 1 || f[1] != 12 || f[2] != 23 {
+		t.Fatalf("after AddRange through view, f = %v", f)
+	}
+	f[2] = math.Copysign(0, -1)
+	if !math.Signbit(s.Load(1)) {
+		t.Fatal("view does not see a plain write's bit pattern")
+	}
+	s.Add(1, 4)
+	if f[2] != 4 {
+		t.Fatalf("Add after plain write: f[2] = %v, want 4", f[2])
+	}
+}
+
+func TestViewZeroLength(t *testing.T) {
+	for _, f := range [][]float64{nil, {}, make([]float64, 4)[4:]} {
+		s := View(f)
+		if s.Len() != 0 {
+			t.Fatalf("Len = %d, want 0", s.Len())
+		}
+		s.AddRange(0, nil)
 	}
 }
 
 func TestAddRange(t *testing.T) {
-	s := NewSlice(6)
+	got := make([]float64, 6)
+	s := View(got)
 	s.AddRange(2, []float64{1, 2, 3})
 	s.AddRange(2, []float64{10, 0, 30})
 	want := []float64{0, 0, 11, 2, 33, 0}
-	got := s.Float64s()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("AddRange result %v, want %v", got, want)
@@ -76,8 +101,11 @@ func TestAddRange(t *testing.T) {
 	}
 }
 
+// Concurrent AddRange through a view loses no update, and the sums are read
+// back from the viewed slice itself once the writers have joined.
 func TestConcurrentAddRange(t *testing.T) {
-	s := NewSlice(8)
+	f := make([]float64, 8)
+	s := View(f)
 	vals := []float64{0.5, 1, 1.5, 2}
 	const workers = 8
 	const reps = 500
@@ -94,7 +122,7 @@ func TestConcurrentAddRange(t *testing.T) {
 	wg.Wait()
 	for i, v := range vals {
 		want := v * workers * reps
-		if got := s.Load(3 + i); got != want {
+		if got := f[3+i]; got != want {
 			t.Fatalf("element %d = %v, want %v", 3+i, got, want)
 		}
 	}

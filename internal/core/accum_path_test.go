@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -75,12 +76,164 @@ func TestExecConcurrentStripeFlushRace(t *testing.T) {
 	}
 }
 
+// rowMixCases are one plan per mix of sync-row writers: every sync row written
+// by its panel alone (nothing async), every sync row also written by async
+// stripes (all remote stripes async on a matrix dense enough that every row
+// has remote nonzeros), and both kinds side by side.
+type rowMixCase struct {
+	name string
+	m    *testMatrix
+	prep *Prep
+}
+
+func rowMixCases(t *testing.T) []rowMixCase {
+	t.Helper()
+	none, all, half := 0.0, 1.0, 0.5
+	cases := []rowMixCase{
+		{name: "single-writer", m: buildCase(t, 160, 4000, 8, 91)},
+		{name: "shared", m: buildCase(t, 160, 4000, 8, 91)},
+		{name: "mixed", m: buildCase(t, 400, 1600, 8, 92)},
+	}
+	for i, frac := range []*float64{&none, &all, &half} {
+		params := basicParams(4, 8, 4)
+		params.ForceSplit = frac
+		prep, err := Preprocess(cases[i].m.coo, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[i].prep = prep
+		var inPlace, shared int
+		for n := range prep.Nodes {
+			np := &prep.Nodes[n]
+			marks := np.sharedRows()
+			for j, e := range np.Sync.Entries {
+				if j > 0 && np.Sync.Entries[j-1].Row == e.Row {
+					continue
+				}
+				if marks[e.Row] {
+					shared++
+				} else {
+					inPlace++
+				}
+			}
+		}
+		switch cases[i].name {
+		case "single-writer":
+			if shared != 0 || inPlace == 0 {
+				t.Fatalf("single-writer plan has %d in-place and %d shared sync rows", inPlace, shared)
+			}
+		case "shared":
+			if inPlace != 0 || shared == 0 {
+				t.Fatalf("shared plan has %d in-place and %d shared sync rows", inPlace, shared)
+			}
+		default:
+			if inPlace == 0 || shared == 0 {
+				t.Fatalf("mixed plan has %d in-place and %d shared sync rows", inPlace, shared)
+			}
+		}
+	}
+	return cases
+}
+
+// Panel workers summing single-writer rows in place while async workers CAS
+// into the shared rows of the same C must neither race nor disturb each
+// other's sums. scripts/check.sh runs this under -race in both kernel-dispatch
+// modes; the forced-generic one is what watches the in-place writes, because
+// the race detector does not see stores made by the assembly kernels.
+func TestExecRowMixesMatchReference(t *testing.T) {
+	for _, tc := range rowMixCases(t) {
+		clu, err := cluster.New(4, cluster.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Exec(tc.prep, tc.m.b, clu, ExecOptions{SyncWorkers: 4, AsyncWorkers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.C.AlmostEqual(tc.m.want, 1e-9) {
+			d, _ := res.C.MaxAbsDiff(tc.m.want)
+			t.Fatalf("%s: Two-Face differs from reference by %v", tc.name, d)
+		}
+	}
+}
+
+// replayUnits runs every rank's work units one at a time in canonical order
+// (async batches, then sync panels) into a fresh C — either handing the units
+// C itself, or staging each unit and flushing it before the next, as the
+// doomed-rank and recovery paths do.
+func replayUnits(t *testing.T, prep *Prep, b *dense.Matrix, staged bool) *dense.Matrix {
+	t.Helper()
+	clu, err := cluster.New(prep.Params.P, cluster.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prep.Params.K
+	c := dense.New(int(prep.Layout.NumRows), k)
+	out := newLiveOutput(c)
+	err = clu.Run(func(r *cluster.Rank) error {
+		np := &prep.Nodes[r.ID]
+		colBlock := prep.Layout.ColBlock(r.ID)
+		r.Expose("B", b.RowRange(colBlock.Lo, colBlock.Hi))
+		if err := r.Barrier(); err != nil {
+			return err
+		}
+		recvBufs := make([][]float64, prep.Layout.NumStripes())
+		if err := syncTransfers(prep, r, np, recvBufs, &recvArena{}, k, nil); err != nil {
+			return err
+		}
+		var sink accumSink = out
+		stage := &stagedSink{}
+		if staged {
+			sink = stage
+		}
+		aws, pws := &asyncScratch{}, &panelScratch{}
+		for _, bt := range buildAsyncSchedule(prep.Layout, np, k, prep.Params.MaxBatchBytes, nil) {
+			if err := processAsyncBatch(prep, b, r, np, sink, aws, bt, nil, false, sampling{}); err != nil {
+				return err
+			}
+			stage.flush(out)
+		}
+		resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
+		for n := 0; n < np.Sync.NumPanels(); n++ {
+			if _, err := processSyncRowPanel(prep, r, np, sink, resolver, pws, n, false, sampling{}); err != nil {
+				return err
+			}
+			stage.flush(out)
+		}
+		return r.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// Summing a row in place and summing it in scratch then adding it onto zero
+// must store the same bits, whatever the mix of single-writer and shared
+// rows: the recovery paths replay through a staged sink what the live run
+// wrote directly, and their C is compared bit for bit.
+func TestLiveAndStagedSinksBitIdentical(t *testing.T) {
+	for _, tc := range rowMixCases(t) {
+		live := replayUnits(t, tc.prep, tc.m.b, false)
+		staged := replayUnits(t, tc.prep, tc.m.b, true)
+		if !live.AlmostEqual(tc.m.want, 1e-9) {
+			t.Fatalf("%s: replayed C differs from the reference", tc.name)
+		}
+		for i, v := range live.Data {
+			if math.Float64bits(v) != math.Float64bits(staged.Data[i]) {
+				t.Fatalf("%s: C[%d] live %x != staged %x", tc.name, i, math.Float64bits(v), math.Float64bits(staged.Data[i]))
+			}
+		}
+	}
+}
+
 // Pooled workspaces from different goroutines flushing through
 // atomicfloat.AddRange into one shared slice: the minimal reproduction of
 // the executor's write pattern, independent of the cluster machinery.
 func TestStripeFlushSharedOutputRace(t *testing.T) {
 	const rows, k, workers, rounds = 32, 8, 8, 25
-	out := atomicfloat.NewSlice(rows * k)
+	c := make([]float64, rows*k)
+	out := atomicfloat.View(c)
 	x := make([]float64, k)
 	for i := range x {
 		x[i] = 0.5
@@ -107,7 +260,7 @@ func TestStripeFlushSharedOutputRace(t *testing.T) {
 	wg.Wait()
 	want := float64(workers * rounds)
 	for i := 0; i < rows*k; i++ {
-		if got := out.Load(i); got != want {
+		if got := c[i]; got != want {
 			t.Fatalf("out[%d] = %v, want %v", i, got, want)
 		}
 	}

@@ -85,3 +85,36 @@ func buildPanelDeps(layout *Layout, np *NodePart) panelDeps {
 	})
 	return d
 }
+
+// sharedRows reports, per node-local row, whether the row has a writer
+// besides its one sync panel run: true for every row an async stripe
+// touches. The rest are the rows processSyncRowPanel may sum into C without
+// atomics. Like deps it is a pure function of the plan, built on first use
+// and never serialized.
+func (np *NodePart) sharedRows() []bool {
+	np.sharedOnce.Do(func() { np.sharedCache = buildSharedRows(np) })
+	return np.sharedCache
+}
+
+func buildSharedRows(np *NodePart) []bool {
+	shared := make([]bool, np.RowHi-np.RowLo)
+	for _, e := range np.Async.Entries {
+		shared[e.Row] = true
+	}
+	// Preprocess puts each row in exactly one panel, but a plan read from a
+	// file is outside input: a row split across panels has two panel workers
+	// writing it, so it keeps the atomic path too.
+	panelOf := make([]int32, len(shared)) // 1 + the panel that first held the row
+	for p := 0; p < np.Sync.NumPanels(); p++ {
+		for _, e := range np.Sync.Entries[np.Sync.PanelPtr[p]:np.Sync.PanelPtr[p+1]] {
+			switch panelOf[e.Row] {
+			case 0:
+				panelOf[e.Row] = int32(p) + 1
+			case int32(p) + 1:
+			default:
+				shared[e.Row] = true
+			}
+		}
+	}
+	return shared
+}

@@ -198,6 +198,23 @@ func logRun(res *Result) {
 	l.Info("run complete", attrs...)
 }
 
+// liveOutput is the run's C, which is its own accumulator. The paper puts
+// atomics on C because "some threads operating on asynchronous stripes may
+// also be writing to the same rows of C" (Algorithms 2-3), so they apply
+// exactly where that premise holds: a row that async stripes also write (see
+// NodePart.sharedRows) is updated through the CAS view, and a row whose only
+// writer is its one sync panel run is summed in place through plain.
+type liveOutput struct {
+	*atomicfloat.Slice           // CAS view over c
+	c                  []float64 // the returned matrix's storage
+}
+
+func newLiveOutput(c *dense.Matrix) *liveOutput {
+	return &liveOutput{Slice: atomicfloat.View(c.Data), c: c.Data}
+}
+
+func (o *liveOutput) plain() []float64 { return o.c }
+
 // Exec runs Two-Face (Algorithm 1) for C = A x B on the given cluster using
 // preprocessed state. B must have prep.Layout.NumCols rows and prep.Params.K
 // columns; the cluster must have prep.Params.P nodes. The cluster's clocks
@@ -213,8 +230,8 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 	opts = opts.normalize()
 	clu.Reset()
 
-	k := params.K
-	out := atomicfloat.NewSlice(int(prep.Layout.NumRows) * k)
+	c := dense.New(int(prep.Layout.NumRows), params.K)
+	out := newLiveOutput(c)
 	caches := prep.attachRowCaches(b)
 	rec := &recoveryCoordinator{}
 	start := time.Now()
@@ -226,8 +243,6 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 	}
 	wall := time.Since(start)
 
-	c := dense.New(int(prep.Layout.NumRows), k)
-	out.CopyTo(c.Data)
 	res := &Result{
 		C:              c,
 		Breakdowns:     clu.Breakdowns(),
@@ -249,7 +264,7 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 // execNode is Algorithm 1 for one node. A rank whose fault plan dooms it to
 // crash runs the serialized checkpointing variant instead, so the set of
 // units its last checkpoint covers is deterministic (see execNodeDoomed).
-func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
+func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
 	if r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
 		return execNodeDoomed(prep, b, r, out, opts, rec)
 	}
@@ -700,13 +715,14 @@ func makeRowResolver(prep *Prep, b *dense.Matrix, rank int, recvBufs [][]float64
 	}
 }
 
-// processSyncRowPanel is Algorithm 2: multiply one row panel with a
-// thread-local accumulation buffer, flushing to C with one atomic pass per
-// output row. Each of the panel's distinct columns is resolved to its dense
-// B row once, into the workspace's flat slice table; the per-nonzero loop is
-// then a table lookup plus a shared AXPY kernel, with no closure calls. It
-// returns the panel's applied SyncComp charge for the pipeline's overlap
-// accounting.
+// processSyncRowPanel is Algorithm 2: multiply one row panel. A row only this
+// panel writes is summed straight into C; a row that async stripes also write
+// — and every row when out is a staged sink — is summed in a thread-local
+// buffer and flushed with one atomic pass. Each of the panel's distinct
+// columns is resolved to its dense B row once, into the workspace's flat
+// slice table; the per-nonzero loop is then a table lookup plus a shared AXPY
+// kernel, with no closure calls. It returns the panel's applied SyncComp
+// charge for the pipeline's overlap accounting.
 func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
 	params := prep.Params
 	net := r.Net()
@@ -717,45 +733,55 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 	}
 	if !skipCompute {
 		ws.begin(int(prep.Layout.NumCols), k)
-		acc := ws.acc
 		base := int(np.RowLo) * k
-		clear(acc)
-		prevRow := panel[0].Row
-		// Consecutive nonzeros of a row pair up through the dual-source tiled
-		// kernel, keeping the accumulator tile in registers across both
-		// multiply-adds; an unpaired leftover (odd count, or a gap forced by
-		// sampling) flushes through plain Axpy. Axpy2 rounds exactly like the
-		// two sequential Axpys it replaces, so the panel result is unchanged.
-		var pendVal float64
-		var pendRow []float64
-		for _, e := range panel {
-			if e.Row != prevRow {
-				if pendRow != nil {
-					kernels.Axpy(pendVal, pendRow, acc)
-					pendRow = nil
-				}
-				out.AddRange(base+int(prevRow)*k, acc)
+		c := out.plain()
+		var shared []bool
+		if c != nil {
+			shared = np.sharedRows()
+		}
+		for i := 0; i < len(panel); {
+			row := panel[i].Row
+			off := base + int(row)*k
+			// C's row starts at +0 like the cleared buffer and takes the same
+			// kernel calls in the same order, and a sum that starts at +0 never
+			// becomes -0, so both destinations end up holding the same bits.
+			inPlace := c != nil && !shared[row]
+			acc := ws.acc
+			if inPlace {
+				acc = c[off : off+k]
+			} else {
 				clear(acc)
-				prevRow = e.Row
 			}
-			if smp.masked(np.RowLo+e.Row, e.Col) {
-				continue
+			// Consecutive nonzeros of a row pair up through the dual-source tiled
+			// kernel, keeping the accumulator tile in registers across both
+			// multiply-adds; an unpaired leftover (odd count, or a gap forced by
+			// sampling) flushes through plain Axpy. Axpy2 rounds exactly like the
+			// two sequential Axpys it replaces, so the panel result is unchanged.
+			var pendVal float64
+			var pendRow []float64
+			for ; i < len(panel) && panel[i].Row == row; i++ {
+				e := panel[i]
+				if smp.masked(np.RowLo+e.Row, e.Col) {
+					continue
+				}
+				brow, err := ws.resolved(e.Col, resolve)
+				if err != nil {
+					return 0, err
+				}
+				if pendRow == nil {
+					pendVal, pendRow = e.Val, brow
+					continue
+				}
+				kernels.Axpy2(pendVal, pendRow, e.Val, brow, acc)
+				pendRow = nil
 			}
-			brow, err := ws.resolved(e.Col, resolve)
-			if err != nil {
-				return 0, err
+			if pendRow != nil {
+				kernels.Axpy(pendVal, pendRow, acc)
 			}
-			if pendRow == nil {
-				pendVal, pendRow = e.Val, brow
-				continue
+			if !inPlace {
+				out.AddRange(off, acc)
 			}
-			kernels.Axpy2(pendVal, pendRow, e.Val, brow, acc)
-			pendRow = nil
 		}
-		if pendRow != nil {
-			kernels.Axpy(pendVal, pendRow, acc)
-		}
-		out.AddRange(base+int(prevRow)*k, acc)
 	}
 	kept := float64(len(panel)) * smp.computeScale()
 	cost := r.ChargeOpTimed(cluster.SyncComp, "compute.sync.panel",

@@ -67,6 +67,11 @@ type NodePart struct {
 	// RecvStripes, rebuilt per process, never serialized.
 	depsOnce  sync.Once
 	depsCache panelDeps
+
+	// sharedOnce/sharedCache lazily hold which of the node's rows async
+	// stripes also write (see sharedRows); same lifetime rules as deps.
+	sharedOnce  sync.Once
+	sharedCache []bool
 }
 
 // Prep is the full output of Two-Face preprocessing: everything each node

@@ -8,6 +8,7 @@ import (
 
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
+	"twoface/internal/gen"
 	"twoface/internal/kernels"
 	"twoface/internal/sparse"
 )
@@ -143,6 +144,73 @@ func TestPreprocessSyncMatrixPanelRowRuns(t *testing.T) {
 					t.Fatalf("rank %d panel %d: row %d columns not ascending", i, p, e.Row)
 				}
 			}
+		}
+	}
+}
+
+// What summing a sync row straight into C relies on, over every registry
+// archetype, with the row reordering on and off and with load-balanced row
+// bounds: each node-local row's sync nonzeros sit in exactly one panel as one
+// contiguous run (one writer, one pass), and the rows marked shared are
+// exactly the rows async stripes touch.
+func TestSingleWriterRowInvariantOnRegistry(t *testing.T) {
+	for _, spec := range gen.Specs() {
+		const scale = 0.004
+		a := spec.Build(scale, 7)
+		for _, cfg := range []struct {
+			name             string
+			noReorder, level bool
+		}{{"reordered", false, false}, {"rowmajor", true, false}, {"balanced", false, true}} {
+			params := Params{P: 4, K: 8, W: spec.ScaledWidth(scale), DisableRowReorder: cfg.noReorder, BalanceRows: cfg.level}
+			prep, err := Preprocess(a, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range prep.Nodes {
+				np := &prep.Nodes[i]
+				rows := int(np.RowHi - np.RowLo)
+				runs := make([]int, rows)
+				for p := 0; p < np.Sync.NumPanels(); p++ {
+					panel := np.Sync.Entries[np.Sync.PanelPtr[p]:np.Sync.PanelPtr[p+1]]
+					for j, e := range panel {
+						if j == 0 || panel[j-1].Row != e.Row {
+							runs[e.Row]++
+						}
+					}
+				}
+				async := make([]bool, rows)
+				for _, e := range np.Async.Entries {
+					async[e.Row] = true
+				}
+				shared := np.sharedRows()
+				if len(shared) != rows {
+					t.Fatalf("%s/%s rank %d: %d shared marks for %d rows", spec.Short, cfg.name, i, len(shared), rows)
+				}
+				for row := range runs {
+					if runs[row] > 1 {
+						t.Fatalf("%s/%s rank %d: row %d is written by %d sync row runs", spec.Short, cfg.name, i, row, runs[row])
+					}
+					if shared[row] != async[row] {
+						t.Fatalf("%s/%s rank %d: row %d shared=%v, async stripes touch it=%v", spec.Short, cfg.name, i, row, shared[row], async[row])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A plan file is outside input: a row its sync matrix splits across two
+// panels has two panel workers writing it, so it must keep the atomic path
+// even though no async stripe touches it.
+func TestSharedRowsMarksRowSplitAcrossPanels(t *testing.T) {
+	np := &NodePart{RowLo: 0, RowHi: 4}
+	np.Sync.Entries = []sparse.NZ{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}, {Row: 2, Col: 0, Val: 1}}
+	np.Sync.PanelPtr = []int64{0, 2, 4}
+	np.Async.Entries = []sparse.NZ{{Row: 3, Col: 9, Val: 1}}
+	want := []bool{false, true, false, true}
+	for row, got := range np.sharedRows() {
+		if got != want[row] {
+			t.Fatalf("row %d shared=%v, want %v", row, got, want[row])
 		}
 	}
 }

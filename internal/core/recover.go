@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"twoface/internal/atomicfloat"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
 )
@@ -34,11 +33,15 @@ import (
 const defaultCheckpointCadence = 50
 
 // accumSink receives a work unit's output-row contributions. The live
-// executor passes the shared atomic output directly; the doomed and recovery
-// paths interpose a stagedSink so a unit's output becomes visible only at a
+// executor passes C itself (liveOutput); the doomed and recovery paths
+// interpose a stagedSink so a unit's output becomes visible only at a
 // checkpoint or in global unit order.
 type accumSink interface {
 	AddRange(off int, vals []float64)
+	// plain returns C's storage when a row's sole writer may sum into it
+	// without atomics, and nil when every contribution must go through
+	// AddRange.
+	plain() []float64
 }
 
 // stagedSink buffers AddRange calls for deferred, ordered replay into the
@@ -56,8 +59,11 @@ func (s *stagedSink) AddRange(off int, vals []float64) {
 	s.buf = append(s.buf, vals...)
 }
 
+// plain is nil: staged output must not reach C before its flush.
+func (s *stagedSink) plain() []float64 { return nil }
+
 // flush replays the staged ranges into out in staging order and resets.
-func (s *stagedSink) flush(out *atomicfloat.Slice) {
+func (s *stagedSink) flush(out *liveOutput) {
 	p := 0
 	for i, off := range s.offs {
 		out.AddRange(off, s.buf[p:p+s.lens[i]])
@@ -123,7 +129,7 @@ func newCheckpointer(r *cluster.Rank, np *NodePart, k int, opts ExecOptions) *ch
 	return &checkpointer{interval: iv, cost: r.Net().CheckpointCost(elems), nextAt: iv}
 }
 
-func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *atomicfloat.Slice, unitsDone int) {
+func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *liveOutput, unitsDone int) {
 	if ck.interval <= 0 || r.Breakdown().NodeTime() < ck.nextAt {
 		return
 	}
@@ -144,7 +150,7 @@ func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *atomicfloa
 // checkpoints got, leaves the barrier so the survivors' fence completes, and
 // returns nil. Die fails (propagating to the PR 3 abort path) only when no
 // live rank would remain to recover.
-func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator) error {
+func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
 	np := &prep.Nodes[r.ID]
@@ -256,7 +262,7 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicflo
 // crash lands inside the transfer phase. Returns dead=true when the rank
 // hit its crash boundary; err carries transfer failures (which may
 // themselves wrap the crash, tripped inside a pull).
-func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int, ck *checkpointer, sink *stagedSink, out *atomicfloat.Slice, crashAt float64) (dead bool, err error) {
+func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int, ck *checkpointer, sink *stagedSink, out *liveOutput, crashAt float64) (dead bool, err error) {
 	layout := prep.Layout
 	net := r.Net()
 
@@ -304,7 +310,7 @@ func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][
 // unfinished units, then re-synchronize. The second barrier exists only on
 // the death path, and the death list is fence-consistent, so every live rank
 // takes the same barrier count.
-func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator) error {
+func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator) error {
 	deaths := r.Deaths()
 	if len(deaths) == 0 {
 		return nil
@@ -320,7 +326,7 @@ func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicf
 // flush pipelines can never wait on each other cyclically). All charges in
 // here land in the Recovery category via BeginRecovery, and the phase's
 // applied seconds and re-executed unit counts go to ResilienceStats.
-func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator, deaths []cluster.DeathRecord) error {
+func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator, deaths []cluster.DeathRecord) error {
 	live := liveAfter(r.P, deaths)
 	myPos := -1
 	for i, id := range live {
@@ -355,7 +361,7 @@ func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.
 // death's shared pipeline — so the additions into the dead rank's C rows
 // happen in one deterministic sequence regardless of survivor interleaving,
 // and a same-seed replay reproduces C bit-for-bit.
-func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
+func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
 	layout, params := prep.Layout, prep.Params
 	k := params.K
 	np := &prep.Nodes[d.Rank]

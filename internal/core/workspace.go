@@ -69,8 +69,9 @@ func (a *recvArena) grab(n int64) []float64 {
 	return a.buf[:n]
 }
 
-// panelScratch backs processSyncRowPanel: the per-panel accumulator row and
-// the pre-resolved column table. slot/stamp map a global column to its table
+// panelScratch backs processSyncRowPanel: the accumulator row for rows the
+// panel may not sum in C directly (async stripes share them, or the sink is
+// staged) and the pre-resolved column table. slot/stamp map a global column to its table
 // entry; stamps are epoch-guarded so starting a panel never clears them.
 type panelScratch struct {
 	acc   []float64

@@ -479,8 +479,10 @@ func (t *Transport) serveConn(c net.Conn) {
 		t.connMu.Unlock()
 		c.Close()
 	}()
-	// First frame must be a valid handshake.
-	typ, payload, err := readFrame(c)
+	// First frame must be a valid handshake. Until it is, the peer is
+	// anyone who can reach the port, so a length prefix beyond a HELLO's
+	// closes the connection before any payload buffer exists.
+	typ, payload, err := readFrameMax(c, helloLen)
 	if err != nil {
 		return
 	}

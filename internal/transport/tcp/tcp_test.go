@@ -1,8 +1,11 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -90,6 +93,34 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 	if typ != msgErr || !strings.Contains(parseErr(body).Error(), "bad magic") {
 		t.Fatalf("want bad-magic ERR frame, got type %d %q", typ, body)
+	}
+}
+
+// Five bytes from an unauthenticated peer must not commit a maxFrame-sized
+// buffer: the server closes the connection on any first-frame length beyond
+// a HELLO's, and its heap stays where it was.
+func TestOversizedFirstFrameClosedWithoutAllocating(t *testing.T) {
+	trs := newRing(t, 1, []uint64{7})
+	c, err := net.Dial("tcp", trs[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var hdr [5]byte
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
+	hdr[4] = msgHello
+	if _, err := c.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("want the server to close the connection, got n=%d err=%v", n, err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame/64 {
+		t.Fatalf("server allocated %d bytes for an unauthenticated %d-byte length prefix", grew, maxFrame)
 	}
 }
 

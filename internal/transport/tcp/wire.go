@@ -46,6 +46,10 @@ const (
 	// (a dense B block of 10^7 rows x 128 cols is ~1 GiB; transfers here
 	// are per-stripe, orders of magnitude smaller).
 	maxFrame = 1 << 30
+
+	// helloLen is the exact size of a HELLO payload, and the most a server
+	// will buffer from a connection that has not completed the handshake.
+	helloLen = 4 + 2 + 4 + 4 + 8
 )
 
 // Frame types.
@@ -122,13 +126,19 @@ func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 
 // readFrame reads one frame, returning its type and payload.
 func readFrame(r io.Reader) (uint8, []byte, error) {
+	return readFrameMax(r, maxFrame)
+}
+
+// readFrameMax is readFrame with a caller-chosen payload bound, checked
+// before anything is allocated for the payload.
+func readFrameMax(r io.Reader, max uint32) (uint8, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("tcp: frame length %d exceeds limit %d", n, maxFrame)
+	if n > max {
+		return 0, nil, fmt.Errorf("tcp: frame length %d exceeds limit %d", n, max)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -139,7 +149,7 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 
 // helloPayload encodes the handshake.
 func helloPayload(p, rank int, digest uint64) []byte {
-	b := make([]byte, 4+2+4+4+8)
+	b := make([]byte, helloLen)
 	binary.BigEndian.PutUint32(b[0:], Magic)
 	binary.BigEndian.PutUint16(b[4:], ProtocolVersion)
 	binary.BigEndian.PutUint32(b[6:], uint32(p))
@@ -150,7 +160,7 @@ func helloPayload(p, rank int, digest uint64) []byte {
 
 // parseHello decodes and validates a HELLO payload against local expectations.
 func parseHello(b []byte, p int, digest uint64) (peerRank int, err error) {
-	if len(b) != 22 {
+	if len(b) != helloLen {
 		return 0, fmt.Errorf("tcp: malformed hello (%d bytes)", len(b))
 	}
 	if m := binary.BigEndian.Uint32(b[0:]); m != Magic {

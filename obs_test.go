@@ -120,10 +120,13 @@ func TestRunObservability(t *testing.T) {
 
 // TestInstrumentationOffBitIdentical checks the other acceptance criterion:
 // with no recorder and the registry disabled, modeled time is bit-identical
-// to an instrumented run of the same problem.
+// to an instrumented run of the same problem. Workers are pinned to one per
+// queue: a ledger category is a float sum of per-unit charges added in
+// worker-arrival order, so its last bit is only reproducible when that order
+// is — which is not the property under test.
 func TestInstrumentationOffBitIdentical(t *testing.T) {
 	run := func(instrument bool) []Breakdown {
-		opts := Options{Nodes: 2, DenseColumns: 16, TimingOnly: true}
+		opts := Options{Nodes: 2, DenseColumns: 16, TimingOnly: true, Workers: 1, AsyncWorkers: 1}
 		if instrument {
 			opts.SpanRecorder = NewTracer(0)
 			opts.TraceEvents = 1 << 10

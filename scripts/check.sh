@@ -29,6 +29,17 @@ go test -race ./...
 echo "== go test -race ./... (TWOFACE_FORCE_GENERIC=1)"
 TWOFACE_FORCE_GENERIC=1 go test -race ./...
 
+echo "== single-writer rows vs shared rows, and the pinned-worker ledger (-race -count=10, both dispatch modes)"
+# C is its own accumulator: panel workers sum single-writer rows in place
+# while async workers CAS into the rows they share. The forced-generic pass
+# is the one in which the race detector can see the in-place stores.
+for generic in "" 1; do
+    TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
+        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical)$' ./internal/core
+    TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
+        -run '^TestInstrumentationOffBitIdentical$' .
+done
+
 echo "== kernel benchmark smoke (1 iteration each)"
 go test -run '^$' \
     -bench '^BenchmarkKernel(Axpy|AxpyVariants|AsyncStripeAccumulate|PanelMultiply|PanelVariants)$' \
@@ -45,7 +56,10 @@ grep -q '"modeled_seconds"' "$tmp/run.json"
 
 echo "== live ops smoke (-listen endpoint scrapeable during a run)"
 go build -o "$tmp/twoface-run" ./cmd/twoface-run
+# -explain asserts the attribution equals the ledger bit for bit, which holds
+# only when each rank's charges are added in one order: one worker per queue.
 "$tmp/twoface-run" -matrix web -scale 0.1 -algo twoface -K 128 \
+    -sync-workers 1 -async-workers 1 \
     -listen 127.0.0.1:0 -explain -report "$tmp/live.json" >"$tmp/live.out" &
 live_pid=$!
 addr=""
@@ -76,7 +90,7 @@ grep -q '"critical_path"' "$tmp/live.json"
 
 echo "== report compare soft gate (same config twice => no modeled regressions)"
 "$tmp/twoface-run" -matrix web -scale 0.1 -algo twoface -K 128 \
-    -report "$tmp/base.json" >/dev/null
+    -sync-workers 1 -async-workers 1 -report "$tmp/base.json" >/dev/null
 go run ./cmd/twoface-bench -compare-report "$tmp/base.json,$tmp/live.json" \
     >"$tmp/compare.out" || true
 cat "$tmp/compare.out"
@@ -103,9 +117,10 @@ echo "== crash-recovery smoke (checkpointed fail-recover, twin bit-exactness)"
 cat >"$tmp/crash.json" <<'EOF'
 {"seed": 7, "crashes": [{"rank": 1, "at": 3e-6}]}
 EOF
+# Pinned workers for the same reason as the live ops smoke's -explain.
 go run -race ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface -K 64 \
     -fault-plan "$tmp/crash.json" -recover -checkpoint-interval 1e-6 \
-    -explain >"$tmp/crash.out"
+    -sync-workers 1 -async-workers 1 -explain >"$tmp/crash.out"
 grep -q 'chaos: recovered 1 crashed rank' "$tmp/crash.out"
 grep -Eq 'chaos: (bit-exact with|matches) the fault-free run' "$tmp/crash.out"
 grep -q '^critical path: rank ' "$tmp/crash.out"
