@@ -1,9 +1,13 @@
 package tcp
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -69,6 +73,10 @@ type Transport struct {
 	poolMu sync.Mutex
 	idle   map[int][]net.Conn
 
+	// stage pools the buffers GET replies are received into before they are
+	// copied to the caller's dst (*[]byte, any capacity).
+	stage sync.Pool
+
 	coord *coordinator // rank 0 only
 
 	barSeq atomic.Uint64
@@ -94,6 +102,9 @@ func New(cfg Config) (*Transport, error) {
 	}
 	if cfg.Listener == nil {
 		return nil, errors.New("tcp: listener required")
+	}
+	if err := checkByteOrder(binary.NativeEndian); err != nil {
+		return nil, err
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 30 * time.Second
@@ -157,17 +168,45 @@ func (t *Transport) Read(rank, target int, name string, regions []cluster.Region
 		return 0, fmt.Errorf("cluster: rank %d: destination too small for indexed get (%d < %d): %w",
 			rank, len(dst), total, cluster.ErrDstTooSmall)
 	}
-	payload, err := t.roundTrip(target, msgGet, getPayload(name, regions), msgData, t.cfg.RequestTimeout)
+	if total > maxFrame/8 {
+		return 0, fmt.Errorf("tcp: rank %d: get of %d elements exceeds the frame limit of %d bytes", rank, total, maxFrame)
+	}
+	req, err := getPayload(name, regions)
 	if err != nil {
 		return 0, err
 	}
-	// The full response frame is buffered before any byte lands in dst, so
-	// a mid-transfer connection loss surfaces as an error with dst
-	// untouched — the transport-level half of the all-or-nothing contract.
-	if err := decodeFloats(payload, dst[:total]); err != nil {
+	// The reply must be exactly the bytes asked for. It is received into a
+	// pooled staging buffer and copied to dst only once the whole frame has
+	// arrived, so a mid-transfer connection loss surfaces as an error with
+	// dst untouched — the transport-level half of the all-or-nothing
+	// contract — at the price of one memmove.
+	want := uint32(8 * total)
+	err = t.roundTrip(target, msgGet, req, t.cfg.RequestTimeout, reply{typ: msgData, min: want, max: want,
+		read: func(r io.Reader, n uint32) error {
+			buf := t.getStage(int(n))
+			defer t.stage.Put(buf)
+			if _, err := io.ReadFull(r, *buf); err != nil {
+				return err
+			}
+			copy(floatBytes(dst[:total]), *buf)
+			return nil
+		}})
+	if err != nil {
 		return 0, err
 	}
 	return total, nil
+}
+
+// getStage returns a staging buffer of length n from the pool. A pooled
+// buffer that is too small is dropped for a new one, so the pool converges
+// on the largest replies in flight.
+func (t *Transport) getStage(n int) *[]byte {
+	if buf, _ := t.stage.Get().(*[]byte); buf != nil && cap(*buf) >= n {
+		*buf = (*buf)[:n]
+		return buf
+	}
+	buf := make([]byte, n)
+	return &buf
 }
 
 func (t *Transport) readLocal(rank, target int, name string, regions []cluster.Region, dst []float64) (int64, error) {
@@ -207,18 +246,31 @@ func (t *Transport) Collect(rank, from int) ([]float64, error) {
 		t.mu.RUnlock()
 		return d, nil
 	}
-	payload, err := t.roundTrip(from, msgCollect, nil, msgCollectData, t.cfg.RequestTimeout)
+	// The reply is a present flag plus the deposit. Its size is the peer's
+	// to say (bounded by maxFrame); it is read straight into the slice this
+	// call returns, which nobody else can observe until it does.
+	var out []float64
+	err := t.roundTrip(from, msgCollect, nil, t.cfg.RequestTimeout, reply{typ: msgCollectData, min: 1, max: 1 + maxFrame,
+		read: func(r io.Reader, n uint32) error {
+			var present [1]byte
+			if _, err := io.ReadFull(r, present[:]); err != nil {
+				return err
+			}
+			n--
+			if present[0] == 0 && n == 0 {
+				return nil // peer had nothing deposited
+			}
+			if present[0] != 1 || n%8 != 0 {
+				return fmt.Errorf("tcp: malformed collect response (flag %d, %d payload bytes)", present[0], n)
+			}
+			data := make([]float64, n/8)
+			if _, err := io.ReadFull(r, floatBytes(data)); err != nil {
+				return err
+			}
+			out = data
+			return nil
+		}})
 	if err != nil {
-		return nil, err
-	}
-	if len(payload) < 1 {
-		return nil, errors.New("tcp: malformed collect response")
-	}
-	if payload[0] == 0 {
-		return nil, nil // peer had nothing deposited
-	}
-	out := make([]float64, len(payload[1:])/8)
-	if err := decodeFloats(payload[1:], out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -244,11 +296,8 @@ func (t *Transport) Barrier(rank int) error {
 		}
 	}
 	var buf [8]byte
-	putUint64(buf[:], seq)
-	if _, err := t.roundTrip(0, msgBarrier, buf[:], msgRelease, t.cfg.BarrierTimeout); err != nil {
-		return err
-	}
-	return nil
+	binary.BigEndian.PutUint64(buf[:], seq)
+	return t.roundTrip(0, msgBarrier, buf[:], t.cfg.BarrierTimeout, reply{typ: msgRelease})
 }
 
 // Leave is unsupported: crash recovery needs surviving processes to adopt a
@@ -274,12 +323,16 @@ func (t *Transport) Abort(cause error) bool {
 	}
 	// Best-effort broadcast so remote ranks fail fast instead of timing
 	// out; a peer we cannot reach is already failing on its own.
+	msg := cause.Error()
+	if len(msg) > maxErrPayload {
+		msg = msg[:maxErrPayload]
+	}
 	for peer := 0; peer < t.p; peer++ {
 		if peer == t.cfg.Rank {
 			continue
 		}
 		go func(peer int) {
-			if _, err := t.roundTrip(peer, msgAbort, []byte(cause.Error()), msgAbortAck, t.cfg.RequestTimeout); err != nil {
+			if err := t.roundTrip(peer, msgAbort, []byte(msg), t.cfg.RequestTimeout, reply{typ: msgAbortAck}); err != nil {
 				if l := t.logger(); l != nil {
 					l.Debug("abort broadcast failed", "peer", peer, "err", err.Error())
 				}
@@ -403,57 +456,33 @@ func (t *Transport) dial(peer int) (net.Conn, error) {
 func (t *Transport) handshake(c net.Conn) error {
 	c.SetDeadline(time.Now().Add(t.cfg.RequestTimeout))
 	defer c.SetDeadline(time.Time{})
-	if err := writeFrame(c, msgHello, helloPayload(t.p, t.cfg.Rank, t.cfg.Digest)); err != nil {
-		return err
-	}
-	typ, payload, err := readFrame(c)
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case msgHelloOK:
-		return nil
-	case msgErr:
-		return parseErr(payload)
-	default:
-		return fmt.Errorf("tcp: unexpected handshake response type %d", typ)
-	}
+	_, err := exchange(c, msgHello, helloPayload(t.p, t.cfg.Rank, t.cfg.Digest), reply{typ: msgHelloOK})
+	return err
 }
 
-// roundTrip sends one request frame to peer and reads the single response,
-// expecting wantTyp (an ERR response is decoded into an error). The
-// connection returns to the pool only after a fully successful exchange.
-func (t *Transport) roundTrip(peer int, typ uint8, payload []byte, wantTyp uint8, timeout time.Duration) ([]byte, error) {
+// roundTrip sends one request frame to peer on a pooled connection and
+// consumes the single response as want describes (an ERR response is decoded
+// into an error). The connection returns to the pool only after a complete,
+// well-formed exchange; anything else closes it.
+func (t *Transport) roundTrip(peer int, typ uint8, payload []byte, timeout time.Duration, want reply) error {
 	c, err := t.getConn(peer)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.SetDeadline(time.Now().Add(timeout))
-	if err := writeFrame(c, typ, payload); err != nil {
+	broken, err := exchange(c, typ, payload, want)
+	if broken {
 		c.Close()
-		return nil, fmt.Errorf("tcp: request to rank %d: %w", peer, err)
-	}
-	respTyp, resp, err := readFrame(c)
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("tcp: response from rank %d: %w", peer, err)
+		return fmt.Errorf("tcp: rank %d: %w", peer, err)
 	}
 	c.SetDeadline(time.Time{})
 	t.putConn(peer, c)
-	switch respTyp {
-	case wantTyp:
-		return resp, nil
-	case msgErr:
-		rerr := parseErr(resp)
-		// A peer answering "aborted" means the cluster is going down:
-		// record it locally so our own loops stop promptly too.
-		if errors.Is(rerr, cluster.ErrAborted) && t.AbortErr() == nil {
-			t.abortRemote(rerr.Error())
-		}
-		return nil, rerr
-	default:
-		return nil, fmt.Errorf("tcp: unexpected response type %d from rank %d", respTyp, peer)
+	// A peer answering "aborted" means the cluster is going down: record it
+	// locally so our own loops stop promptly too.
+	if errors.Is(err, cluster.ErrAborted) && t.AbortErr() == nil {
+		t.abortRemote(err.Error())
 	}
+	return err
 }
 
 // --- server side ---
@@ -472,6 +501,24 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
+// session is the serving side of one accepted connection: the buffered
+// reader its requests arrive through (a ~70-byte GET is one read, header
+// and payload together) and the scratch that lets request after request be
+// decoded and answered without per-frame allocation. Its serveConn
+// goroutine is the only user.
+type session struct {
+	t    *Transport
+	c    net.Conn
+	br   *bufio.Reader
+	peer int
+
+	req     []byte           // request payload, grown on demand within requestBounds
+	regions []cluster.Region // parseGet scratch
+	hdr     [hdrLen + 1]byte // reply header, plus COLLECT_DATA's present flag
+	vecs    [][]byte         // backing array of bufs
+	bufs    net.Buffers      // reply being written; WriteTo consumes it
+}
+
 func (t *Transport) serveConn(c net.Conn) {
 	defer func() {
 		t.connMu.Lock()
@@ -479,10 +526,11 @@ func (t *Transport) serveConn(c net.Conn) {
 		t.connMu.Unlock()
 		c.Close()
 	}()
+	s := &session{t: t, c: c, br: bufio.NewReader(c)}
 	// First frame must be a valid handshake. Until it is, the peer is
 	// anyone who can reach the port, so a length prefix beyond a HELLO's
 	// closes the connection before any payload buffer exists.
-	typ, payload, err := readFrameMax(c, helloLen)
+	typ, payload, err := readFrameMax(s.br, helloLen)
 	if err != nil {
 		return
 	}
@@ -490,7 +538,7 @@ func (t *Transport) serveConn(c net.Conn) {
 		respondErr(c, fmt.Errorf("tcp: expected hello, got frame type %d", typ))
 		return
 	}
-	peer, err := parseHello(payload, t.p, t.cfg.Digest)
+	s.peer, err = parseHello(payload, t.p, t.cfg.Digest)
 	if err != nil {
 		respondErr(c, err)
 		if l := t.logger(); l != nil {
@@ -502,24 +550,42 @@ func (t *Transport) serveConn(c net.Conn) {
 		return
 	}
 	for {
-		typ, payload, err := readFrame(c)
+		typ, n, err := readHeader(s.br)
 		if err != nil {
 			return // connection closed by peer (normal at shutdown)
 		}
-		if err := t.serveRequest(c, peer, typ, payload); err != nil {
+		// A frame that is not a request, or claims a length its type cannot
+		// have, closes the connection before any buffer is sized from it.
+		if min, max, ok := requestBounds(typ); !ok || n < min || n > max {
+			if l := t.logger(); l != nil {
+				l.Warn("closing connection on out-of-bounds frame", "peer", s.peer, "type", typ, "len", n)
+			}
+			return
+		}
+		if uint32(cap(s.req)) < n {
+			s.req = make([]byte, n)
+		}
+		s.req = s.req[:n]
+		if _, err := io.ReadFull(s.br, s.req); err != nil {
+			return
+		}
+		if err := s.serveRequest(typ, s.req); err != nil {
 			return
 		}
 	}
 }
 
-// serveRequest answers one request frame; a non-nil return closes the conn.
-func (t *Transport) serveRequest(c net.Conn, peer int, typ uint8, payload []byte) error {
+// serveRequest answers one request frame, whose length requestBounds has
+// already vetted; a non-nil return closes the conn.
+func (s *session) serveRequest(typ uint8, payload []byte) error {
+	t, c := s.t, s.c
 	switch typ {
 	case msgGet:
-		name, regions, err := parseGet(payload)
+		name, regions, err := parseGet(payload, s.regions)
 		if err != nil {
 			return respondErr(c, err)
 		}
+		s.regions = regions
 		if aerr := t.AbortErr(); aerr != nil {
 			return respondErr(c, aerr)
 		}
@@ -528,17 +594,25 @@ func (t *Transport) serveRequest(c net.Conn, peer int, typ uint8, payload []byte
 		t.mu.RUnlock()
 		if !ok {
 			return respondErr(c, fmt.Errorf("cluster: rank %d: no window %q exposed by rank %d: %w",
-				peer, name, t.cfg.Rank, cluster.ErrWindowMissing))
+				s.peer, name, t.cfg.Rank, cluster.ErrWindowMissing))
 		}
-		total, err := cluster.CheckRegions(peer, t.cfg.Rank, name, regions, len(w), int(total64(regions)))
+		// The requester checked its own dst; here only the window bounds.
+		total, err := cluster.CheckRegions(s.peer, t.cfg.Rank, name, regions, len(w), math.MaxInt)
 		if err != nil {
 			return respondErr(c, err)
 		}
-		out := make([]byte, 0, 8*total)
-		for _, reg := range regions {
-			out = encodeFloats(out, w[reg.Off:reg.Off+reg.Elems])
+		if total > maxFrame/8 {
+			return respondErr(c, fmt.Errorf("tcp: get of %d elements exceeds the frame limit of %d bytes", total, maxFrame))
 		}
-		return writeFrame(c, msgData, out)
+		// DATA is the header plus the window's own memory, region by region.
+		putHeader(s.hdr[:], msgData, int(8*total))
+		s.vecs = append(s.vecs[:0], s.hdr[:hdrLen])
+		for _, reg := range regions {
+			if reg.Elems > 0 {
+				s.vecs = append(s.vecs, floatBytes(w[reg.Off:reg.Off+reg.Elems]))
+			}
+		}
+		return s.writeVecs()
 
 	case msgCollect:
 		t.mu.RLock()
@@ -547,23 +621,23 @@ func (t *Transport) serveRequest(c net.Conn, peer int, typ uint8, payload []byte
 		if d == nil {
 			return writeFrame(c, msgCollectData, []byte{0})
 		}
-		out := make([]byte, 0, 1+8*len(d))
-		out = append(out, 1)
-		out = encodeFloats(out, d)
-		return writeFrame(c, msgCollectData, out)
+		if len(d) > maxFrame/8 {
+			return respondErr(c, fmt.Errorf("tcp: deposit of %d elements exceeds the frame limit of %d bytes", len(d), maxFrame))
+		}
+		putHeader(s.hdr[:], msgCollectData, 1+8*len(d))
+		s.hdr[hdrLen] = 1
+		s.vecs = append(s.vecs[:0], s.hdr[:], floatBytes(d))
+		return s.writeVecs()
 
 	case msgBarrier:
 		if t.coord == nil {
 			return respondErr(c, fmt.Errorf("tcp: rank %d is not the barrier coordinator", t.cfg.Rank))
 		}
-		if len(payload) != 8 {
-			return respondErr(c, errors.New("tcp: malformed barrier payload"))
-		}
 		// Register the waiter and keep reading: the release frame is written
 		// by whichever goroutine completes the barrier (the peer holds this
 		// connection out of its pool until the response lands, so no other
 		// frame competes for the writer side).
-		t.coord.enterRemote(getUint64(payload), c)
+		t.coord.enterRemote(binary.BigEndian.Uint64(payload), c)
 		return nil
 
 	case msgAbort:
@@ -571,16 +645,17 @@ func (t *Transport) serveRequest(c net.Conn, peer int, typ uint8, payload []byte
 		return writeFrame(c, msgAbortAck, nil)
 
 	default:
-		return respondErr(c, fmt.Errorf("tcp: unknown request type %d", typ))
+		return fmt.Errorf("tcp: request type %d passed requestBounds but has no handler", typ)
 	}
 }
 
-func total64(regions []cluster.Region) int64 {
-	var n int64
-	for _, reg := range regions {
-		n += reg.Elems
-	}
-	return n
+// writeVecs sends the frame assembled in s.vecs with one writev. WriteTo
+// consumes s.bufs and nils the entries of s.vecs as it goes, so no view of
+// a window outlives the write.
+func (s *session) writeVecs() error {
+	s.bufs = s.vecs
+	_, err := s.bufs.WriteTo(s.c)
+	return err
 }
 
 // --- barrier coordinator (rank 0) ---
@@ -689,20 +764,4 @@ func (co *coordinator) fail(err error) {
 	for _, ch := range chans {
 		ch <- err
 	}
-}
-
-// --- tiny endian helpers (avoid importing encoding/binary here) ---
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

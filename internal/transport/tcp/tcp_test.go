@@ -1,9 +1,7 @@
 package tcp
 
 import (
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -14,9 +12,16 @@ import (
 	"twoface/internal/cluster"
 )
 
-// newPair builds a p-rank TCP cluster inside one test process: p listeners
-// on 127.0.0.1:0, one Transport per rank, all sharing digest.
-func newRing(t *testing.T, p int, digests []uint64) []*Transport {
+// newRing builds a p-rank TCP cluster inside one test process: p listeners
+// on 127.0.0.1:0, one Transport per rank, rank i presenting digests[i].
+func newRing(t testing.TB, p int, digests []uint64) []*Transport {
+	return newRingVia(t, p, digests, func(_ int, addr string) string { return addr })
+}
+
+// newRingVia is newRing with every rank reached through route(rank, addr)
+// instead of its listener's own address — the hook the fault-injecting
+// proxies of fault_test.go slot into.
+func newRingVia(t testing.TB, p int, digests []uint64, route func(rank int, addr string) string) []*Transport {
 	t.Helper()
 	listeners := make([]net.Listener, p)
 	addrs := make([]string, p)
@@ -26,7 +31,7 @@ func newRing(t *testing.T, p int, digests []uint64) []*Transport {
 			t.Fatal(err)
 		}
 		listeners[i] = l
-		addrs[i] = l.Addr().String()
+		addrs[i] = route(i, l.Addr().String())
 	}
 	trs := make([]*Transport, p)
 	for i := range trs {
@@ -87,7 +92,7 @@ func TestBadMagicRejected(t *testing.T) {
 	if err := writeFrame(c, msgHello, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readFrame(c)
+	typ, body, err := readFrameMax(c, maxErrPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +113,11 @@ func TestOversizedFirstFrameClosedWithoutAllocating(t *testing.T) {
 	defer c.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
-	hdr[4] = msgHello
-	if _, err := c.Write(hdr[:]); err != nil {
+	if _, err := c.Write(header(msgHello, maxFrame)); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("want the server to close the connection, got n=%d err=%v", n, err)
-	}
+	assertClosedByPeer(t, c)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame/64 {
 		t.Fatalf("server allocated %d bytes for an unauthenticated %d-byte length prefix", grew, maxFrame)
@@ -219,5 +219,87 @@ func TestAbortReleasesBarrierAndPropagates(t *testing.T) {
 	// New barriers fail immediately everywhere.
 	if err := trs[0].Barrier(0); !errors.Is(err, cluster.ErrAborted) {
 		t.Fatalf("post-abort barrier on rank 0: %v", err)
+	}
+}
+
+// getShapes are the gets the budget test and the microbenchmark issue: one
+// small enough that per-frame cost is all there is, and a stripe-sized one
+// in one region and in four.
+var getShapes = []struct {
+	name    string
+	total   int64
+	regions []cluster.Region
+}{
+	{"256B", 32, []cluster.Region{{Off: 64, Elems: 32}}},
+	{"64KiBx1", 8192, []cluster.Region{{Off: 0, Elems: 8192}}},
+	{"64KiBx4", 8192, []cluster.Region{{Off: 0, Elems: 2048}, {Off: 4096, Elems: 2048}, {Off: 8192, Elems: 2048}, {Off: 12288, Elems: 2048}}},
+}
+
+// getRing is a two-rank ring whose rank 1 exposes a 128 KiB window "B".
+func getRing(t testing.TB) []*Transport {
+	trs := newRing(t, 2, []uint64{7, 7})
+	w := make([]float64, 16384)
+	for i := range w {
+		w[i] = float64(i)
+	}
+	trs[1].Expose(1, "B", w)
+	return trs
+}
+
+// The copy-and-allocation budget of a warmed remote get, requester and
+// server together (both run in this process): a handful of small objects —
+// the request, the frame headers, the reply descriptor — and nothing the
+// size of the payload. A per-frame payload buffer on either side, as before
+// this budget existed (9 allocations and 131 KB per 64 KiB get), costs at
+// least the payload per get; the byte budget is half of it, because under
+// the race detector sync.Pool drops a quarter of all Puts and the staging
+// buffer is then allocated anew.
+func TestGetAllocationBudget(t *testing.T) {
+	const maxAllocs = 8
+	trs := getRing(t)
+	for _, shape := range getShapes {
+		total := shape.total
+		maxBytes := uint64(1024 + 8*total/2)
+		dst := make([]float64, total)
+		get := func() {
+			if n, err := trs[0].Read(0, 1, "B", shape.regions, dst); err != nil || n != total {
+				t.Fatalf("%s: n=%d err=%v", shape.name, n, err)
+			}
+		}
+		get() // dial, handshake, and size the staging buffer and the server's scratch
+		if allocs := testing.AllocsPerRun(200, get); allocs > maxAllocs {
+			t.Errorf("%s: %v allocations per get, budget %d", shape.name, allocs, maxAllocs)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		if perGet := (after.TotalAlloc - before.TotalAlloc) / runs; perGet > maxBytes {
+			t.Errorf("%s: %d bytes allocated per get, budget %d", shape.name, perGet, maxBytes)
+		}
+		last := shape.regions[len(shape.regions)-1]
+		if want := float64(last.Off + last.Elems - 1); dst[total-1] != want {
+			t.Errorf("%s: dst ends in %v, want %v", shape.name, dst[total-1], want)
+		}
+	}
+}
+
+func BenchmarkGetRoundTrip(b *testing.B) {
+	trs := getRing(b)
+	for _, shape := range getShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			dst := make([]float64, shape.total)
+			b.SetBytes(8 * shape.total)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := trs[0].Read(0, 1, "B", shape.regions, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

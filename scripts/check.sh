@@ -23,6 +23,12 @@ go build ./...
 echo "== GOOS=linux GOARCH=arm64 go build ./... (NEON kernel cross-compile)"
 GOOS=linux GOARCH=arm64 go build ./...
 
+echo "== GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp (big-endian refusal compiles)"
+# The TCP backend sends float64s from memory, so tcp.New refuses a big-endian
+# host instead of keeping a converting codec; this keeps that refusal (and
+# the unsafeptr pass over the byte view) building where it would fire.
+GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp
+
 echo "== go test -race ./... (SIMD dispatch)"
 go test -race ./...
 
@@ -44,6 +50,9 @@ echo "== kernel benchmark smoke (1 iteration each)"
 go test -run '^$' \
     -bench '^BenchmarkKernel(Axpy|AxpyVariants|AsyncStripeAccumulate|PanelMultiply|PanelVariants)$' \
     -benchtime 1x .
+
+echo "== transport benchmark smoke (1 iteration each)"
+go test -run '^$' -bench '^BenchmarkGetRoundTrip$' -benchtime 1x ./internal/transport/tcp
 
 echo "== observability smoke (trace + report on a small run)"
 tmp=$(mktemp -d)
