@@ -43,12 +43,9 @@ type Options struct {
 	// AsyncWorkers is the per-node goroutine count draining the one-sided
 	// queue (wall-clock only, like Workers). Default 2.
 	AsyncWorkers int
-	// LegacyAsyncGets restores the pre-aggregation one-sided path: one
-	// GetIndexed per async stripe, no cross-run row cache. The fidelity
-	// toggle for reproducing earlier accounting.
-	LegacyAsyncGets bool
 	// MaxAsyncBatchBytes caps how many fetched bytes one aggregated
-	// one-sided request may carry (0 uses the core default of 1 MiB).
+	// one-sided request may carry (0 uses the core default of 1 MiB; 1 puts
+	// every async stripe in a request of its own).
 	MaxAsyncBatchBytes int64
 	// RowCacheElems bounds each rank's remote-row cache, in float64
 	// elements (0 uses the core default; negative disables the cache).
@@ -56,12 +53,6 @@ type Options struct {
 	// Verify keeps the arithmetic on (default). Setting TimingOnly skips
 	// the floating-point loops, which is how the experiment harness runs.
 	TimingOnly bool
-	// DisableOverlap serializes the synchronous phase the way the seed
-	// executor did: every dense stripe lands before the first row panel
-	// runs, and modeled node time charges the full SyncComm + SyncComp sum
-	// with no pipelining credit. The escape hatch for A/B-ing the pipelined
-	// path; results stay bit-identical either way.
-	DisableOverlap bool
 	// UseColumnClassifier switches from the paper's cost-model balancer to
 	// the column-popularity heuristic of its future-work discussion: dense
 	// stripes needed by at least ColumnSyncThreshold nodes go collective,
@@ -152,9 +143,6 @@ func New(opts Options) (*System, error) {
 			return nil, errors.New("twoface: Chaos and Recover are virtual-time machinery; they cannot run on a wall-clock transport")
 		}
 	}
-	if opts.Workers == 0 {
-		opts.Workers = 4
-	}
 	if opts.AllowFMA {
 		kernels.SetAllowFMA(true)
 	}
@@ -222,11 +210,10 @@ func autoWidth(cols int32) int32 {
 func (s *System) params(net NetModel) core.Params {
 	p := core.Params{
 		P: s.opts.Nodes, K: s.opts.DenseColumns, W: s.opts.StripeWidth,
-		RowPanelHeight:  s.opts.RowPanelHeight,
-		MemBudgetElems:  s.opts.MemBudgetElems,
-		MaxBatchBytes:   s.opts.MaxAsyncBatchBytes,
-		LegacyAsyncGets: s.opts.LegacyAsyncGets,
-		RowCacheElems:   s.opts.RowCacheElems,
+		RowPanelHeight: s.opts.RowPanelHeight,
+		MemBudgetElems: s.opts.MemBudgetElems,
+		MaxBatchBytes:  s.opts.MaxAsyncBatchBytes,
+		RowCacheElems:  s.opts.RowCacheElems,
 	}
 	if s.opts.Coefficients != nil {
 		p.Coef = *s.opts.Coefficients
@@ -445,7 +432,6 @@ func (s *System) LoadPlan(path string) (*Plan, error) {
 	// Communication knobs are runtime policy, not part of the stored
 	// classification: the loading system's settings win over whatever
 	// defaults the plan was normalized with when it was written.
-	prep.Params.LegacyAsyncGets = s.opts.LegacyAsyncGets
 	if s.opts.MaxAsyncBatchBytes != 0 {
 		prep.Params.MaxBatchBytes = s.opts.MaxAsyncBatchBytes
 	}
@@ -460,15 +446,10 @@ func (s *System) LoadPlan(path string) (*Plan, error) {
 }
 
 func (p *Plan) execOptions() core.ExecOptions {
-	aw := p.sys.opts.AsyncWorkers
-	if aw == 0 {
-		aw = 2
-	}
 	return core.ExecOptions{
-		AsyncWorkers:       aw,
+		AsyncWorkers:       p.sys.opts.AsyncWorkers,
 		SyncWorkers:        p.sys.opts.Workers,
 		SkipCompute:        p.sys.opts.TimingOnly,
-		DisableOverlap:     p.sys.opts.DisableOverlap,
 		CheckpointInterval: p.sys.opts.CheckpointInterval,
 	}
 }

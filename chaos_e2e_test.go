@@ -1,9 +1,13 @@
 package twoface
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"twoface/internal/chaos"
@@ -283,17 +287,28 @@ func TestChaosCrashFailsCleanly(t *testing.T) {
 // TestChaosRecoverySingleWorkerExact is the recovery acceptance test: a
 // seeded crash plan with recovery enabled completes without abort, the
 // recovered C agrees with the fault-free run, and a same-seed replay is
-// bit-identical in C, makespan, and every resilience counter. Runs both the
-// batched and the legacy one-get-per-stripe async paths, with crashes at
-// the very start and in the middle of the run.
+// bit-identical in C, makespan, and every resilience counter. Runs the default
+// batched schedule and its one-stripe-per-batch twin (so recovery units that
+// are single stripes stay covered), with crashes at the very start and in the
+// middle of the run.
+//
+// Same-seed replay cannot see drift between commits, so each run's ledger is
+// also pinned: ModeledSeconds, every rank's Breakdown and ResilienceStats must
+// equal internal/core/testdata/recovery_ledger.json exactly. To regenerate
+// after an intended accounting change, delete that file and run the test once.
 func TestChaosRecoverySingleWorkerExact(t *testing.T) {
 	a, b := chaosWorkload(t)
-	for _, legacy := range []bool{false, true} {
-		name := "batched"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
+	legs := []struct {
+		name          string
+		maxBatchBytes int64
+		rowCacheElems int64
+	}{
+		{name: "batched"},
+		{name: "perstripe", maxBatchBytes: 1, rowCacheElems: -1},
+	}
+	var ledger []recoveryLedger
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
 			runOnce := func(plan *FaultPlan, recovery bool, interval float64) *core.Result {
 				t.Helper()
 				sys, err := New(Options{Nodes: chaosNodes, DenseColumns: b.Cols})
@@ -301,7 +316,8 @@ func TestChaosRecoverySingleWorkerExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				net := sys.Net(a.NumRows)
-				params := core.Params{P: chaosNodes, K: b.Cols, W: 8, Coef: DeriveCoefficients(net), LegacyAsyncGets: legacy}
+				params := core.Params{P: chaosNodes, K: b.Cols, W: 8, Coef: DeriveCoefficients(net),
+					MaxBatchBytes: leg.maxBatchBytes, RowCacheElems: leg.rowCacheElems}
 				prep, err := core.Preprocess(a, params)
 				if err != nil {
 					t.Fatal(err)
@@ -335,6 +351,10 @@ func TestChaosRecoverySingleWorkerExact(t *testing.T) {
 				plan := &FaultPlan{Crashes: []chaos.Crash{{Rank: 1, At: at}}}
 				r1 := runOnce(plan, true, interval)
 				r2 := runOnce(plan, true, interval)
+				ledger = append(ledger, recoveryLedger{
+					Leg: leg.name, Frac: frac, ModeledSeconds: r1.ModeledSeconds,
+					Breakdowns: r1.Breakdowns, Resilience: r1.Resilience,
+				})
 
 				rs := r1.TotalResilience
 				if rs.Crashes != 1 {
@@ -370,6 +390,57 @@ func TestChaosRecoverySingleWorkerExact(t *testing.T) {
 				}
 			}
 		})
+	}
+	if !t.Failed() {
+		checkRecoveryLedger(t, ledger)
+	}
+}
+
+// recoveryLedger is one pinned run of TestChaosRecoverySingleWorkerExact.
+type recoveryLedger struct {
+	Leg            string
+	Frac           float64
+	ModeledSeconds float64
+	Breakdowns     []cluster.Breakdown
+	Resilience     []cluster.ResilienceStats
+}
+
+const recoveryLedgerPath = "internal/core/testdata/recovery_ledger.json"
+
+// checkRecoveryLedger requires got to equal the committed golden exactly
+// (encoding/json round-trips float64 bit-for-bit). The ledger is plain Go
+// float arithmetic, which the compiler may fuse into multiply-adds on other
+// architectures, so the pin holds on amd64 only.
+func checkRecoveryLedger(t *testing.T, got []recoveryLedger) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("recovery ledger golden is pinned on amd64, not %s", runtime.GOARCH)
+	}
+	raw, err := os.ReadFile(recoveryLedgerPath)
+	if errors.Is(err, os.ErrNotExist) {
+		out, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(recoveryLedgerPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s was missing; wrote it from this run — inspect, commit and rerun", recoveryLedgerPath)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []recoveryLedger
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", recoveryLedgerPath, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recovery ledger has %d runs, golden has %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("recovery ledger drifted (%s, frac %v):\n got  %+v\n want %+v", got[i].Leg, got[i].Frac, got[i], want[i])
+		}
 	}
 }
 

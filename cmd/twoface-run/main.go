@@ -59,8 +59,6 @@ type cli struct {
 	k, p       int
 	syncW      int
 	asyncW     int
-	legacy     bool
-	noOverlap  bool
 	verify     bool
 	trace      bool
 	traceOut   string
@@ -87,49 +85,68 @@ type cli struct {
 	writeC     string
 }
 
+// register declares every flag on fs, bound to c's fields.
+func (c *cli) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.in, "in", "", "input matrix file (.mtx, .mtx.gz, or .bin)")
+	fs.StringVar(&c.name, "matrix", "", "or: generate a registry analog by name")
+	fs.Float64Var(&c.scale, "scale", 0.25, "scale for -matrix")
+	fs.Uint64Var(&c.seed, "seed", 42, "seed for -matrix and B")
+	fs.StringVar(&c.plan, "plan", "", "or: load a saved preprocessing plan (.tfp)")
+	fs.StringVar(&c.algo, "algo", "twoface", "algorithm: twoface|ds1|ds2|ds4|ds8|allgather|asynccoarse|asyncfine")
+	fs.IntVar(&c.k, "K", 128, "dense matrix columns")
+	fs.IntVar(&c.p, "p", 8, "simulated nodes")
+	fs.IntVar(&c.syncW, "sync-workers", 4, "goroutines per node on the collective path (wall-clock only)")
+	fs.IntVar(&c.asyncW, "async-workers", 2, "goroutines per node draining the one-sided queue (wall-clock only)")
+	fs.BoolVar(&c.verify, "verify", true, "check the result against the reference kernel")
+	fs.BoolVar(&c.trace, "trace", false, "print a per-node transfer trace summary")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the run's virtual-time spans")
+	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "per-node transfer-trace event cap for -trace")
+	fs.Uint64Var(&c.chaosSeed, "chaos-seed", 0, "run under a random survivable fault plan with this seed (0 = off)")
+	fs.StringVar(&c.faultPlan, "fault-plan", "", "run under the JSON fault plan at this path")
+	fs.BoolVar(&c.chaosCrash, "chaos-crash", false, "add a recoverable rank crash to the -chaos-seed plan")
+	fs.BoolVar(&c.recover, "recover", false, "recover crashed ranks from checkpoints instead of aborting (twoface only)")
+	fs.Float64Var(&c.ckptEvery, "checkpoint-interval", 0, "virtual seconds between checkpoints under -recover (0 = auto)")
+	fs.BoolVar(&c.forceGen, "force-generic", false, "pin compute kernels to the portable pure-Go loops (no SIMD dispatch)")
+	fs.BoolVar(&c.allowFMA, "allow-fma", false, "opt compute kernels into fused multiply-add assembly (ulp-level drift vs default)")
+	fs.StringVar(&c.report, "report", "", "write a structured JSON run report")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile")
+	fs.StringVar(&c.listen, "listen", "", "serve the live ops endpoint (/metrics, /report, /healthz, /debug/pprof) on this host:port")
+	fs.StringVar(&c.logLevel, "log-level", "", "structured logging to stderr at this level: debug|info|warn|error (empty = off)")
+	fs.BoolVar(&c.logJSON, "log-json", false, "emit log records as JSON lines (with -log-level)")
+	fs.BoolVar(&c.explain, "explain", false, "print the critical-path makespan attribution after the run")
+	fs.BoolVar(&c.explainOut, "explain-json", false, "print the critical-path attribution as JSON")
+	fs.IntVar(&c.rank, "rank", -1, "multi-process mode: run as this rank of a real TCP cluster (-1 = in-process simulator)")
+	fs.StringVar(&c.peers, "peers", "", "multi-process mode: comma-separated host:port of every rank, in rank order")
+	fs.StringVar(&c.rendezvous, "rendezvous", "", "multi-process mode: directory where ranks publish their bound addresses (use instead of -peers)")
+	fs.StringVar(&c.writeC, "write-c", "", "write the computed C to this file (raw row-major float64; rank 0 only in multi-process mode)")
+}
+
 func main() {
 	var c cli
-	flag.StringVar(&c.in, "in", "", "input matrix file (.mtx, .mtx.gz, or .bin)")
-	flag.StringVar(&c.name, "matrix", "", "or: generate a registry analog by name")
-	flag.Float64Var(&c.scale, "scale", 0.25, "scale for -matrix")
-	flag.Uint64Var(&c.seed, "seed", 42, "seed for -matrix and B")
-	flag.StringVar(&c.plan, "plan", "", "or: load a saved preprocessing plan (.tfp)")
-	flag.StringVar(&c.algo, "algo", "twoface", "algorithm: twoface|ds1|ds2|ds4|ds8|allgather|asynccoarse|asyncfine")
-	flag.IntVar(&c.k, "K", 128, "dense matrix columns")
-	flag.IntVar(&c.p, "p", 8, "simulated nodes")
-	flag.IntVar(&c.syncW, "sync-workers", 4, "goroutines per node on the collective path (wall-clock only)")
-	flag.IntVar(&c.asyncW, "async-workers", 2, "goroutines per node draining the one-sided queue (wall-clock only)")
-	flag.BoolVar(&c.legacy, "legacy-async", false, "one get per async stripe, no batching or row cache (seed accounting)")
-	flag.BoolVar(&c.noOverlap, "no-overlap", false, "serialize stripe multicasts before panel compute (seed accounting, no pipelining credit)")
-	flag.BoolVar(&c.verify, "verify", true, "check the result against the reference kernel")
-	flag.BoolVar(&c.trace, "trace", false, "print a per-node transfer trace summary")
-	flag.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the run's virtual-time spans")
-	flag.IntVar(&c.traceCap, "trace-cap", 1<<16, "per-node transfer-trace event cap for -trace")
-	flag.Uint64Var(&c.chaosSeed, "chaos-seed", 0, "run under a random survivable fault plan with this seed (0 = off)")
-	flag.StringVar(&c.faultPlan, "fault-plan", "", "run under the JSON fault plan at this path")
-	flag.BoolVar(&c.chaosCrash, "chaos-crash", false, "add a recoverable rank crash to the -chaos-seed plan")
-	flag.BoolVar(&c.recover, "recover", false, "recover crashed ranks from checkpoints instead of aborting (twoface only)")
-	flag.Float64Var(&c.ckptEvery, "checkpoint-interval", 0, "virtual seconds between checkpoints under -recover (0 = auto)")
-	flag.BoolVar(&c.forceGen, "force-generic", false, "pin compute kernels to the portable pure-Go loops (no SIMD dispatch)")
-	flag.BoolVar(&c.allowFMA, "allow-fma", false, "opt compute kernels into fused multiply-add assembly (ulp-level drift vs default)")
-	flag.StringVar(&c.report, "report", "", "write a structured JSON run report")
-	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile")
-	flag.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile")
-	flag.StringVar(&c.listen, "listen", "", "serve the live ops endpoint (/metrics, /report, /healthz, /debug/pprof) on this host:port")
-	flag.StringVar(&c.logLevel, "log-level", "", "structured logging to stderr at this level: debug|info|warn|error (empty = off)")
-	flag.BoolVar(&c.logJSON, "log-json", false, "emit log records as JSON lines (with -log-level)")
-	flag.BoolVar(&c.explain, "explain", false, "print the critical-path makespan attribution after the run")
-	flag.BoolVar(&c.explainOut, "explain-json", false, "print the critical-path attribution as JSON")
-	flag.IntVar(&c.rank, "rank", -1, "multi-process mode: run as this rank of a real TCP cluster (-1 = in-process simulator)")
-	flag.StringVar(&c.peers, "peers", "", "multi-process mode: comma-separated host:port of every rank, in rank order")
-	flag.StringVar(&c.rendezvous, "rendezvous", "", "multi-process mode: directory where ranks publish their bound addresses (use instead of -peers)")
-	flag.StringVar(&c.writeC, "write-c", "", "write the computed C to this file (raw row-major float64; rank 0 only in multi-process mode)")
+	c.register(flag.CommandLine)
 	flag.Parse()
 
 	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "twoface-run:", err)
 		os.Exit(1)
 	}
+}
+
+// options maps the flags onto twoface.Options — the one place a flag reaches
+// the library. What is not a flag value (the resolved fault plan, the span
+// recorder, the logger, the transport) is attached by the caller.
+func (c cli) options() twoface.Options {
+	opts := twoface.Options{
+		Nodes: c.p, DenseColumns: c.k, TimingOnly: !c.verify,
+		Workers: c.syncW, AsyncWorkers: c.asyncW,
+		ForceGenericKernels: c.forceGen, AllowFMA: c.allowFMA,
+		Recover: c.recover, CheckpointInterval: c.ckptEvery,
+	}
+	if c.trace {
+		opts.TraceEvents = c.traceCap
+	}
+	return opts
 }
 
 func run(c cli) error {
@@ -178,16 +195,8 @@ func run(c cli) error {
 		return err
 	}
 
-	opts := twoface.Options{
-		Nodes: c.p, DenseColumns: c.k, TimingOnly: !c.verify, Chaos: chaosPlan,
-		Workers: c.syncW, AsyncWorkers: c.asyncW, LegacyAsyncGets: c.legacy,
-		DisableOverlap:      c.noOverlap,
-		ForceGenericKernels: c.forceGen, AllowFMA: c.allowFMA,
-		Recover: c.recover, CheckpointInterval: c.ckptEvery,
-	}
-	if c.trace {
-		opts.TraceEvents = c.traceCap
-	}
+	opts := c.options()
+	opts.Chaos = chaosPlan
 	if tracer != nil {
 		opts.SpanRecorder = tracer
 	}
@@ -344,11 +353,9 @@ func reportChaos(c cli, a *twoface.SparseMatrix, res *twoface.Result, plan *twof
 	}
 	twinCfg := c
 	twinCfg.quiet = true
-	twinSys, err := twoface.New(twoface.Options{
-		Nodes: c.p, DenseColumns: c.k,
-		Workers: c.syncW, AsyncWorkers: c.asyncW, LegacyAsyncGets: c.legacy,
-		DisableOverlap: c.noOverlap,
-	})
+	twinOpts := c.options()
+	twinOpts.Recover, twinOpts.TraceEvents = false, 0
+	twinSys, err := twoface.New(twinOpts)
 	if err != nil {
 		return err
 	}

@@ -20,6 +20,7 @@ import (
 
 	"twoface"
 	"twoface/internal/cluster"
+	"twoface/internal/kernels"
 	"twoface/internal/transport/tcp"
 )
 
@@ -66,12 +67,11 @@ func runTCP(c cli) error {
 	}
 	defer tr.Close()
 
-	opts := twoface.Options{
-		Nodes: c.p, DenseColumns: c.k, Transport: tr,
-		Workers: c.syncW, AsyncWorkers: c.asyncW, LegacyAsyncGets: c.legacy,
-		DisableOverlap:      c.noOverlap,
-		ForceGenericKernels: c.forceGen, AllowFMA: c.allowFMA,
-	}
+	opts := c.options()
+	opts.Transport = tr
+	// A wall-clock run measures the arithmetic; -verify=false only skips the
+	// reference check here.
+	opts.TimingOnly = false
 	if c.logLevel != "" {
 		opts.Logger = logger
 	}
@@ -212,8 +212,11 @@ func resolveEndpoints(c cli) ([]string, net.Listener, error) {
 
 // workloadDigest fingerprints everything that must agree across ranks for
 // one multiply to be meaningful: the matrix source and its realized shape,
-// the dense seed, and the partitioning-relevant knobs. It feeds the TCP
-// handshake, so two ranks started with different inputs refuse to pair.
+// the dense seed, the partitioning-relevant knobs, and whether fused
+// multiply-add kernels were asked for (by -allow-fma, not yet applied when the
+// digest is taken, or by TWOFACE_ALLOW_FMA) — ranks that disagree on it would
+// hand rank 0 row blocks that round differently. It feeds the TCP handshake,
+// so two ranks started with different inputs refuse to pair.
 func workloadDigest(c cli, a *twoface.SparseMatrix) uint64 {
 	h := fnv.New64a()
 	write := func(parts ...any) {
@@ -222,8 +225,8 @@ func workloadDigest(c cli, a *twoface.SparseMatrix) uint64 {
 		}
 	}
 	st := a.ComputeStats()
-	write("v1", c.in, c.name, math.Float64bits(c.scale), c.seed, c.k, c.p,
-		c.legacy, c.noOverlap, st.NumRows, st.NumCols, st.NNZ)
+	write("v2", c.in, c.name, math.Float64bits(c.scale), c.seed, c.k, c.p,
+		c.allowFMA || kernels.FMAAllowed(), st.NumRows, st.NumCols, st.NNZ)
 	return h.Sum64()
 }
 

@@ -192,8 +192,8 @@ func (n NetModel) OneSidedCost(regions int, elems int64) float64 {
 // the full per-request overhead AlphaA is paid once, and each additional
 // region pays only the marginal RegionAlpha. With one region it equals
 // OneSidedCost; with many it is strictly cheaper, which is the modeled win
-// of the owner-batched scheduler (core.Params.LegacyAsyncGets restores the
-// per-stripe OneSidedCost accounting).
+// of the owner-batched scheduler. Setting RegionAlpha = AlphaA makes the two
+// agree for any region count — the seed's per-region accounting.
 func (n NetModel) OneSidedBatchCost(regions int, elems int64) float64 {
 	if regions <= 0 {
 		return 0
@@ -241,13 +241,12 @@ type Breakdown struct {
 	Other     float64
 	// SyncOverlap is the portion of the synchronous half hidden by
 	// pipelining stripe multicasts with row-panel compute (the non-blocking
-	// MPI_Ibcast overlap of the paper's Algorithm 1). The category totals
-	// above are charged identically whether or not the executor pipelines;
-	// the overlap credit is what turns the serial sum SyncComm + SyncComp
-	// into the pipelined sync-half makespan. It never exceeds
-	// min(SyncComm, SyncComp) and is zero under core's DisableOverlap
-	// escape hatch, for the SDDMM executor, and for every baseline, which
-	// preserves the legacy serial accounting exactly.
+	// MPI_Ibcast overlap of the paper's Algorithm 1). Pipelining changes
+	// none of the category totals above; the overlap credit is what turns
+	// the serial sum SyncComm + SyncComp into the pipelined sync-half
+	// makespan, so zeroing it recovers the serial accounting of the same
+	// run. It never exceeds min(SyncComm, SyncComp) and is zero for the
+	// SDDMM executor and for every baseline, which do not pipeline.
 	SyncOverlap float64
 	// Checkpoint is virtual time spent writing crash-recovery checkpoints
 	// of the rank's C accumulator state to node-local storage. Serial with

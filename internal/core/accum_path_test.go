@@ -172,13 +172,11 @@ func replayUnits(t *testing.T, prep *Prep, b *dense.Matrix, staged bool) *dense.
 	out := newLiveOutput(c)
 	err = clu.Run(func(r *cluster.Rank) error {
 		np := &prep.Nodes[r.ID]
-		colBlock := prep.Layout.ColBlock(r.ID)
-		r.Expose("B", b.RowRange(colBlock.Lo, colBlock.Hi))
-		if err := r.Barrier(); err != nil {
+		if err := beginNode(prep, b, r, np); err != nil {
 			return err
 		}
 		recvBufs := make([][]float64, prep.Layout.NumStripes())
-		if err := syncTransfers(prep, r, np, recvBufs, &recvArena{}, k, nil); err != nil {
+		if err := syncTransfers(prep, r, np, recvBufs, &recvArena{}, k, newSyncPipeline(len(np.RecvStripes)), nil); err != nil {
 			return err
 		}
 		var sink accumSink = out
@@ -186,16 +184,10 @@ func replayUnits(t *testing.T, prep *Prep, b *dense.Matrix, staged bool) *dense.
 		if staged {
 			sink = stage
 		}
-		aws, pws := &asyncScratch{}, &panelScratch{}
-		for _, bt := range buildAsyncSchedule(prep.Layout, np, k, prep.Params.MaxBatchBytes, nil) {
-			if err := processAsyncBatch(prep, b, r, np, sink, aws, bt, nil, false, sampling{}); err != nil {
-				return err
-			}
-			stage.flush(out)
-		}
-		resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
-		for n := 0; n < np.Sync.NumPanels(); n++ {
-			if _, err := processSyncRowPanel(prep, r, np, sink, resolver, pws, n, false, sampling{}); err != nil {
+		ur := newUnitRunner(prep, b, r, np, ExecOptions{})
+		ur.resolver = makeRowResolver(prep, b, r.ID, recvBufs, k)
+		for u := 0; u < ur.units(); u++ {
+			if err := ur.run(u, sink); err != nil {
 				return err
 			}
 			stage.flush(out)
@@ -277,18 +269,6 @@ func TestScratchVariantsMatch(t *testing.T) {
 		}
 	}
 	want := uniqueCols(entries)
-	got := appendUniqueCols(make([]int32, 0, 2), entries)
-	if len(got) != len(want) {
-		t.Fatalf("appendUniqueCols len %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("appendUniqueCols[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if cap(got) < len(entries) {
-		t.Fatalf("scratch must be sized from the entry count, got cap %d", cap(got))
-	}
 
 	wantReg, wantBuf, wantFetched := coalesceRegions(want, 2, 0, 4)
 	gotReg, gotBuf, gotFetched := coalesceRegionsInto(make([]cluster.Region, 0, 1), make([]int32, 1), want, 2, 0, 4)

@@ -13,29 +13,15 @@ func uniqueCols(entries []sparse.NZ) []int32 {
 	if len(entries) == 0 {
 		return nil
 	}
-	return appendUniqueCols(nil, entries)
-}
-
-// appendUniqueCols is uniqueCols writing into dst (which it resets),
-// reusing dst's capacity so pooled callers allocate nothing in steady state.
-// The scratch is sized from the entry count — the worst case of all-distinct
-// columns — rather than a fixed small capacity, so a stripe never regrows it
-// mid-scan.
-func appendUniqueCols(dst []int32, entries []sparse.NZ) []int32 {
-	if cap(dst) < len(entries) {
-		dst = make([]int32, 0, len(entries))
-	}
-	dst = dst[:0]
-	if len(entries) == 0 {
-		return dst
-	}
-	dst = append(dst, entries[0].Col)
+	// Sized for the worst case of all-distinct columns, so the scan never
+	// regrows it.
+	cols := append(make([]int32, 0, len(entries)), entries[0].Col)
 	for _, e := range entries[1:] {
-		if e.Col != dst[len(dst)-1] {
-			dst = append(dst, e.Col)
+		if e.Col != cols[len(cols)-1] {
+			cols = append(cols, e.Col)
 		}
 	}
-	return dst
+	return cols
 }
 
 // coalesceRegions converts the sorted distinct columns of an async stripe

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -62,15 +61,6 @@ type ExecOptions struct {
 	// SampleSeed selects the sample (one value per training iteration).
 	SampleSeed uint64
 
-	// DisableOverlap serializes the collective path the way the seed
-	// executor did: row-panel compute starts only after every dense stripe
-	// has arrived, and no overlap credit is recorded, so the sync half of
-	// NodeTime reduces to the legacy serial SyncComm + SyncComp. Every
-	// category charge is identical either way — the toggle changes only the
-	// SyncOverlap credit — which keeps golden traces and A/B accounting
-	// comparisons reproducible (DESIGN.md section 9).
-	DisableOverlap bool
-
 	// CheckpointInterval is the virtual-time cadence (seconds) between
 	// crash-recovery checkpoint writes. It only takes effect when the
 	// cluster has recovery enabled (cluster.SetRecovery); <= 0 selects an
@@ -126,8 +116,8 @@ type Result struct {
 	Resilience      []cluster.ResilienceStats
 	TotalResilience cluster.ResilienceStats
 	// RowCache summarizes the remote-row cache's traffic during this run
-	// (all zero under LegacyAsyncGets or a disabled cache; hits require a
-	// prior run on the same Prep and B — see DESIGN.md section 8).
+	// (all zero with the cache disabled; hits require a prior run on the
+	// same Prep and B — see DESIGN.md section 8).
 	RowCache RowCacheStats
 }
 
@@ -261,27 +251,18 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 	return res, nil
 }
 
-// execNode is Algorithm 1 for one node. A rank whose fault plan dooms it to
-// crash runs the serialized checkpointing variant instead, so the set of
-// units its last checkpoint covers is deterministic (see execNodeDoomed).
-func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
-	if r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
-		return execNodeDoomed(prep, b, r, out, opts, rec)
-	}
-	layout, params := prep.Layout, prep.Params
+// beginNode is the prologue every rank runs, doomed or not: expose this
+// node's B block as a one-sided window, fence, and charge "Other" — the
+// per-stripe setup of MPI structures (Figure 10's residual category):
+// stripes received, async stripes issued, multicasts rooted.
+func beginNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart) error {
+	layout := prep.Layout
 	net := r.Net()
-	np := &prep.Nodes[r.ID]
-	k := params.K
-
-	// Expose this node's B block as a one-sided window.
 	colBlock := layout.ColBlock(r.ID)
 	r.Expose("B", b.RowRange(colBlock.Lo, colBlock.Hi))
 	if err := r.Barrier(); err != nil {
 		return err
 	}
-
-	// "Other": per-stripe setup of MPI structures (Figure 10's residual
-	// category): stripes received, async stripes issued, multicasts rooted.
 	rooted := 0
 	lo, hi := layout.NodeStripeRange(r.ID)
 	for sid := lo; sid < hi; sid++ {
@@ -290,44 +271,51 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 		}
 	}
 	r.ChargeOp(cluster.Other, "setup", net.SetupBase+net.SetupPerStripe*float64(len(np.RecvStripes)+np.Async.NumStripes()+rooted))
+	return nil
+}
+
+// execNode is Algorithm 1 for one node. A rank whose fault plan dooms it to
+// crash runs the serialized checkpointing variant instead, so the set of
+// units its last checkpoint covers is deterministic (see execNodeDoomed).
+func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
+	if r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
+		return execNodeDoomed(prep, b, r, out, opts, rec)
+	}
+	layout, params := prep.Layout, prep.Params
+	np := &prep.Nodes[r.ID]
+	k := params.K
+	if err := beginNode(prep, b, r, np); err != nil {
+		return err
+	}
 
 	recvBufs := make([][]float64, layout.NumStripes())
 	metricPoolRecvGet.Inc()
 	arena := recvArenaPool.Get().(*recvArena)
 	defer recvArenaPool.Put(arena) // all return paths join the goroutines first
-	var pl *syncPipeline
-	if !opts.DisableOverlap {
-		pl = newSyncPipeline(len(np.RecvStripes))
-	}
-	syncDone := make(chan error, 1)
+	pl := newSyncPipeline(len(np.RecvStripes))
 	var wg sync.WaitGroup
 
 	// Thread 0: synchronous dense-stripe transfers (Algorithm 1 lines 5-8).
-	// With pipelining on (the default) each stripe is published through its
-	// gate as it lands, so panel workers block per stripe, not on the flag.
+	// Each stripe is published through its gate as it lands, so panel workers
+	// block per stripe, not on a whole-phase flag.
+	var syncErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		syncDone <- syncTransfers(prep, r, np, recvBufs, arena, k, pl)
-		close(syncDone)
+		syncErr = syncTransfers(prep, r, np, recvBufs, arena, k, pl, nil)
 	}()
 
 	// Asynchronous threads (Algorithm 1 lines 9-14): drain the stripe queue
 	// in owner-batches — one aggregated GetIndexed per run of consecutive
-	// same-owner stripes — or per stripe under the LegacyAsyncGets toggle.
+	// same-owner stripes.
 	var asyncErr error
 	var asyncMu sync.Mutex
 	var asyncCursor atomic.Int64
-	legacy := params.LegacyAsyncGets
-	var batches []asyncBatch
+	batches := buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
+	nWork := int64(len(batches))
 	var cache *rowCache
-	nWork := int64(np.Async.NumStripes())
-	if !legacy {
-		batches = buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
-		nWork = int64(len(batches))
-		if caches != nil {
-			cache = caches[r.ID]
-		}
+	if caches != nil {
+		cache = caches[r.ID]
 	}
 	wg.Add(opts.AsyncWorkers)
 	for w := 0; w < opts.AsyncWorkers; w++ {
@@ -344,14 +332,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 				if obs.Default.Enabled() {
 					metricQueueDepth.Observe(float64(nWork - n))
 				}
-				var err error
-				if legacy {
-					metricAsyncStripes.Inc()
-					err = processAsyncStripe(prep, b, r, np, out, ws, int(n), opts.SkipCompute, opts.sampling())
-				} else {
-					err = processAsyncBatch(prep, b, r, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling())
-				}
-				if err != nil {
+				if err := processAsyncBatch(prep, b, r, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling()); err != nil {
 					asyncMu.Lock()
 					if asyncErr == nil {
 						asyncErr = err
@@ -363,24 +344,13 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 		}()
 	}
 
-	// Row panels (Algorithm 1 lines 15-19). The pipelined default starts
-	// the panel workers immediately: each panel blocks only on the gate of
-	// its latest-arriving stripe dependency, so panel compute overlaps the
-	// multicasts still in flight. Under DisableOverlap the workers start
-	// only once every stripe has arrived, as the seed executor did.
-	if opts.DisableOverlap {
-		if err := <-syncDone; err != nil {
-			wg.Wait()
-			return err
-		}
-	}
+	// Row panels (Algorithm 1 lines 15-19). The panel workers start
+	// immediately: each panel blocks only on the gate of its latest-arriving
+	// stripe dependency, so panel compute overlaps the multicasts still in
+	// flight.
 	nPanels := np.Sync.NumPanels()
-	var deps *panelDeps
-	var panelCost []float64
-	if pl != nil {
-		deps = np.deps(layout)
-		panelCost = make([]float64, nPanels)
-	}
+	deps := np.deps(layout)
+	panelCost := make([]float64, nPanels)
 	var panelCursor atomic.Int64
 	resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
 	var panelWg sync.WaitGroup
@@ -408,16 +378,13 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 				if n >= int64(nPanels) {
 					return
 				}
-				pi := int(n)
-				if pl != nil {
-					pi = int(deps.order[n])
-					if rel := deps.release[pi]; rel >= 0 {
-						g := &pl.gates[rel]
-						<-g.ready
-						if g.err != nil {
-							setPanelErr(g.err)
-							return
-						}
+				pi := int(deps.order[n])
+				if rel := deps.release[pi]; rel >= 0 {
+					g := &pl.gates[rel]
+					<-g.ready
+					if g.err != nil {
+						setPanelErr(g.err)
+						return
 					}
 				}
 				metricSyncPanels.Inc()
@@ -426,17 +393,11 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 					setPanelErr(err)
 					return
 				}
-				if panelCost != nil {
-					panelCost[pi] = cost
-				}
+				panelCost[pi] = cost
 			}
 		}()
 	}
 	panelWg.Wait()
-	var syncErr error
-	if pl != nil {
-		syncErr = <-syncDone
-	}
 	wg.Wait()
 	if syncErr != nil {
 		return syncErr
@@ -447,10 +408,8 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 	if panelErr != nil {
 		return panelErr
 	}
-	if pl != nil {
-		if ov := pipelineOverlap(pl, deps, panelCost); ov > 0 {
-			r.ChargeOp(cluster.Overlap, "sync.overlap", ov)
-		}
+	if ov := pipelineOverlap(pl, deps, panelCost); ov > 0 {
+		r.ChargeOp(cluster.Overlap, "sync.overlap", ov)
 	}
 	// Checkpoint accounting for a rank that survives to the end: its cadenced
 	// snapshots happened alongside the run, charged here as one lump since
@@ -544,26 +503,30 @@ func pipelineOverlap(pl *syncPipeline, deps *panelDeps, panelCost []float64) flo
 // syncTransfers receives every dense stripe this node needs through
 // collective multicasts and charges both receiver-side and (for stripes this
 // node roots) root-side collective time. Receive buffers are sliced out of
-// the node's pooled arena, so steady-state runs allocate nothing here.
+// the caller's arena, so steady-state runs allocate nothing here.
 //
-// With a non-nil pipeline each stripe is published through its gate the
-// moment it lands, stamped with the sync thread's local comm clock (applied
-// charges only: root multicasts first, then per-stripe fault seconds and
-// receive cost). A failure — a multicast leg past its retry budget, or a
-// cluster abort — closes every remaining gate with the error before
-// returning, so no panel worker can be left waiting on a stripe that will
-// never arrive.
-func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, arena *recvArena, k int, pl *syncPipeline) (retErr error) {
+// Each stripe is published through its pipeline gate the moment it lands,
+// stamped with the sync thread's local comm clock (applied charges only: root
+// multicasts first, then per-stripe fault seconds and receive cost). A
+// failure — a multicast leg past its retry budget, or a cluster abort —
+// closes every remaining gate with the error before returning, so no panel
+// worker can be left waiting on a stripe that will never arrive.
+//
+// boundary, when non-nil, runs after each root charge and each stripe's pull
+// and charge — the points where a doomed rank ticks its checkpoint cadence
+// and checks its crash clock — and stops the transfers by returning an error.
+func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, arena *recvArena, k int, pl *syncPipeline, boundary func() error) (retErr error) {
 	layout := prep.Layout
 	net := r.Net()
-	published := 0
-	if pl != nil {
-		defer func() {
-			if retErr != nil {
-				pl.abort(published, retErr)
-			}
-		}()
+	if boundary == nil {
+		boundary = func() error { return nil }
 	}
+	published := 0
+	defer func() {
+		if retErr != nil {
+			pl.abort(published, retErr)
+		}
+	}()
 
 	// Root side: this node participates in the multicast tree of every
 	// owned stripe that has destinations.
@@ -573,6 +536,9 @@ func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float
 		if n := len(prep.Dests[sid]); n > 0 {
 			elems := int64(layout.StripeWidthOf(sid)) * int64(k)
 			commClock += r.ChargeOpTimed(cluster.SyncComm, "multicast.root", net.MulticastCost(elems, n))
+			if err := boundary(); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -598,98 +564,13 @@ func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float
 		commClock += faultSeconds
 		recvBufs[sid] = dst
 		commClock += r.ChargeOpTimed(cluster.SyncComm, "multicast.recv", net.MulticastCost(elems, len(prep.Dests[sid])))
-		if pl != nil {
-			pl.publish(i, commClock)
-			published = i + 1
-		}
-	}
-	if pl != nil {
-		pl.commTotal = commClock
-	}
-	return nil
-}
-
-// processAsyncStripe is Algorithm 3: fetch the distinct dense rows of one
-// asynchronous stripe with a one-sided indexed get, then accumulate its
-// nonzeros into a stripe-local dense buffer that is flushed once per touched
-// C row. The flush is the only atomic traffic: each output row takes a
-// single AddRange pass instead of one CAS loop per scalar per nonzero, and
-// all scratch comes from the worker's pooled workspace.
-func processAsyncStripe(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, out accumSink, ws *asyncScratch, n int, skipCompute bool, smp sampling) error {
-	layout, params := prep.Layout, prep.Params
-	net := r.Net()
-	k := params.K
-	entries := np.Async.Entries[np.Async.StripePtr[n]:np.Async.StripePtr[n+1]]
-	if len(entries) == 0 {
-		return nil
-	}
-	sid := np.Async.StripeIDs[n]
-	owner := layout.StripeOwner(sid)
-	ownerBlock := layout.ColBlock(owner)
-
-	ws.cols = appendUniqueCols(ws.cols, entries)
-	cols := ws.cols
-	var fetchedRows int64
-	ws.regions, ws.bufRow, fetchedRows = coalesceRegionsInto(ws.regions, ws.bufRow, cols, params.MaxCoalesceGap, int32(ownerBlock.Lo), k)
-	drows := ws.fetchBuf(int(fetchedRows) * k)
-	elems := fetchedRows * int64(k)
-	var commCost float64
-	if _, err := r.GetIndexed(owner, "B", ws.regions, drows); err != nil {
-		if !errors.Is(err, cluster.ErrRetryExhausted) {
+		pl.publish(i, commClock)
+		published = i + 1
+		if err := boundary(); err != nil {
 			return err
 		}
-		// Graceful degradation (the fault plan made this target unreachable
-		// one-sidedly): re-fetch the same rows through the reliable
-		// synchronous path. The data is identical, so the SpMM completes
-		// bit-exactly; the extra time lands in SyncComm as a point-to-point
-		// resend, visibly attributed in the Breakdown ledger.
-		if _, err := r.SyncFallbackPull(owner, "B", ws.regions, drows); err != nil {
-			return err
-		}
-		commCost = net.MulticastCost(elems, 1)
-		r.ChargeOp(cluster.SyncComm, "degrade.refetch", commCost)
-		metricDegradations.Inc()
-	} else {
-		commCost = net.OneSidedCost(len(ws.regions), elems)
-		r.ChargeOp(cluster.AsyncComm, "get.indexed", commCost)
 	}
-	if obs.Default.Enabled() {
-		metricRegionsPerGet.Observe(float64(len(ws.regions)))
-		for _, reg := range ws.regions {
-			metricRegionElems.Observe(float64(reg.Elems))
-		}
-	}
-
-	if !skipCompute {
-		// Column-major walk: advance the unique-column cursor as the column
-		// changes, accumulating each same-column run against its dense row
-		// through the tiled multi-row kernel.
-		acc := &ws.acc
-		acc.Begin(int(np.RowHi-np.RowLo), k)
-		bufRow := ws.bufRow
-		ci := 0
-		for i := 0; i < len(entries); {
-			col := entries[i].Col
-			j := i + 1
-			for j < len(entries) && entries[j].Col == col {
-				j++
-			}
-			for cols[ci] != col {
-				ci++
-			}
-			off := int(bufRow[ci]) * k
-			accumulateRun(acc, entries[i:j], drows[off:off+k], np.RowLo, smp)
-			i = j
-		}
-		base := int(np.RowLo) * k
-		for i, row := range acc.Touched() {
-			out.AddRange(base+int(row)*k, acc.Vals(i))
-		}
-	}
-	kept := float64(len(entries)) * smp.computeScale()
-	compCost := net.AsyncComputeCost(int64(kept), k, params.ModelAsyncCompThreads, 1)
-	r.ChargeOp(cluster.AsyncComp, "compute.async.stripe", compCost)
-	metricStripeSeconds.Observe(commCost + compCost)
+	pl.commTotal = commClock
 	return nil
 }
 

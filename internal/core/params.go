@@ -49,15 +49,9 @@ type Params struct {
 	// same-owner stripes into a single GetIndexed until the next stripe would
 	// push the batch past this many bytes, keeping individual requests small
 	// enough that virtual-time communication still overlaps compute. 0 means
-	// the default, 1 MiB. Every batch holds at least one stripe, so a tiny
-	// cap degenerates to the per-stripe schedule without breaking anything.
+	// the default, 1 MiB. Every batch holds at least one stripe, so a cap of
+	// 1 is the per-stripe schedule: one get per async stripe.
 	MaxBatchBytes int64
-
-	// LegacyAsyncGets is the fidelity toggle for paper-figure reproduction:
-	// it restores the seed per-stripe async path — one GetIndexed per async
-	// stripe, per-request AlphaA accounting via NetModel.OneSidedCost, no
-	// request batching and no remote-row cache.
-	LegacyAsyncGets bool
 
 	// RowCacheElems bounds the per-rank remote-row cache, in float64
 	// elements. Rows fetched one-sidedly are kept (up to this bound) and
@@ -91,16 +85,6 @@ type Params struct {
 	// the paper reports for mawi (section 7.2). B's distribution is
 	// unchanged, so only A/C ownership shifts.
 	BalanceRows bool
-
-	// DisableRowReorder turns off the prep-time reordering of rows within
-	// each synchronous row panel. By default rows are grouped by the set of
-	// dense stripes their columns touch (a 64-bit stripe signature), so the
-	// panel kernel's consecutive row runs reuse cache-hot B rows. Each row's
-	// nonzeros stay contiguous and column-sorted, so every per-row panel sum
-	// is bit-identical either way; only the panel-internal row visit order
-	// changes, which perturbs C by at most the same flush-order
-	// reassociation concurrent execution already exhibits run to run.
-	DisableRowReorder bool
 }
 
 // Classifier selects how remote stripes are split into sync/async.

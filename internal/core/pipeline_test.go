@@ -10,37 +10,11 @@ import (
 	"twoface/internal/dense"
 )
 
-// execMode preps and runs one case on a fresh cluster with the pipelined
-// sync path on or off. A fresh Prep per run keeps the row cache cold in
-// both modes, so the two runs are true twins.
-func execMode(t *testing.T, m *testMatrix, params Params, disableOverlap bool) *Result {
-	t.Helper()
-	prep, err := Preprocess(m.coo, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clu, err := cluster.New(params.P, cluster.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Exec(prep, m.b, clu, ExecOptions{DisableOverlap: disableOverlap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func relClose(a, b float64) bool {
-	d := math.Abs(a - b)
-	return d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// TestPipelinedMatchesSerial is the bit-exactness contract of the pipelined
-// collective path: against DisableOverlap it must move the same bytes in
-// the same messages (exact integer ledgers), charge the same per-category
-// virtual time, and compute the same C — only the SyncOverlap credit, and
-// through it NodeTime, may differ, and never for the worse.
-func TestPipelinedMatchesSerial(t *testing.T) {
+// TestPipelineOverlapBounds is the accounting contract of the pipelined
+// collective path: the SyncOverlap credit lies in [0, min(SyncComm,
+// SyncComp)], so NodeTime is never worse than the serial accounting — the
+// same ledger with the credit zeroed — and the credit actually engages.
+func TestPipelineOverlapBounds(t *testing.T) {
 	var totalOverlap float64
 	for _, tc := range []struct {
 		p int
@@ -50,44 +24,38 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		{2, 4, 8}, {4, 8, 4}, {8, 16, 2}, {4, 32, 8},
 	} {
 		m := buildCase(t, 160, 2400, tc.k, uint64(tc.p*1000+tc.k))
-		params := basicParams(tc.p, tc.k, tc.w)
-		serial := execMode(t, m, params, true)
-		piped := execMode(t, m, params, false)
-
-		if !piped.C.AlmostEqual(m.want, 1e-9) || !serial.C.AlmostEqual(m.want, 1e-9) {
+		prep, err := Preprocess(m.coo, basicParams(tc.p, tc.k, tc.w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clu, err := cluster.New(tc.p, cluster.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Exec(prep, m.b, clu, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.C.AlmostEqual(m.want, 1e-9) {
 			t.Fatalf("p=%d k=%d: result differs from reference", tc.p, tc.k)
 		}
-		if !piped.C.AlmostEqual(serial.C, 1e-9) {
-			t.Fatalf("p=%d k=%d: pipelined C differs from serial C", tc.p, tc.k)
-		}
-		for rank := range serial.Transfer {
-			if piped.Transfer[rank] != serial.Transfer[rank] {
-				t.Fatalf("p=%d k=%d rank %d: transfer ledgers differ: %+v vs %+v",
-					tc.p, tc.k, rank, piped.Transfer[rank], serial.Transfer[rank])
-			}
-		}
-		for rank, sb := range serial.Breakdowns {
-			pb := piped.Breakdowns[rank]
-			if sb.SyncOverlap != 0 {
-				t.Fatalf("rank %d: serial run carries overlap credit %g", rank, sb.SyncOverlap)
-			}
-			if !relClose(pb.SyncComm, sb.SyncComm) || !relClose(pb.SyncComp, sb.SyncComp) ||
-				!relClose(pb.AsyncComm, sb.AsyncComm) || !relClose(pb.AsyncComp, sb.AsyncComp) ||
-				!relClose(pb.Other, sb.Other) {
-				t.Fatalf("p=%d k=%d rank %d: category totals differ: %+v vs %+v", tc.p, tc.k, rank, pb, sb)
-			}
-			if pb.SyncOverlap < 0 || pb.SyncOverlap > math.Min(pb.SyncComm, pb.SyncComp)*(1+1e-9) {
+		var serialMakespan float64
+		for rank, bd := range res.Breakdowns {
+			if bd.SyncOverlap < 0 || bd.SyncOverlap > math.Min(bd.SyncComm, bd.SyncComp)*(1+1e-9) {
 				t.Fatalf("rank %d: overlap %g outside [0, min(%g, %g)]",
-					rank, pb.SyncOverlap, pb.SyncComm, pb.SyncComp)
+					rank, bd.SyncOverlap, bd.SyncComm, bd.SyncComp)
 			}
-			if pb.NodeTime() > sb.NodeTime()*(1+1e-9) {
-				t.Fatalf("rank %d: pipelined node time %g worse than serial %g", rank, pb.NodeTime(), sb.NodeTime())
+			serial := bd
+			serial.SyncOverlap = 0
+			if bd.NodeTime() > serial.NodeTime() {
+				t.Fatalf("rank %d: pipelined node time %g worse than serial %g", rank, bd.NodeTime(), serial.NodeTime())
 			}
-			totalOverlap += pb.SyncOverlap
+			serialMakespan = math.Max(serialMakespan, serial.NodeTime())
+			totalOverlap += bd.SyncOverlap
 		}
-		if piped.ModeledSeconds > serial.ModeledSeconds*(1+1e-9) {
+		if res.ModeledSeconds > serialMakespan {
 			t.Fatalf("p=%d k=%d: pipelined makespan %g worse than serial %g",
-				tc.p, tc.k, piped.ModeledSeconds, serial.ModeledSeconds)
+				tc.p, tc.k, res.ModeledSeconds, serialMakespan)
 		}
 	}
 	if totalOverlap <= 0 {

@@ -290,8 +290,8 @@ func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 	default:
 		// The async scheduler amortizes the per-request AlphaA over each
 		// owner-batch, so the classifier sees the batched per-stripe cost;
-		// under LegacyAsyncGets the estimate is 1 and this is the paper's
-		// per-stripe Classify exactly.
+		// with a batch estimate of 1 (MaxBatchBytes too small to pair two
+		// stripes) this is the paper's per-stripe Classify exactly.
 		decision = model.ClassifyBatched(infos, params.W, params.K, params.Coef,
 			asyncBatchEstimate(infos, params))
 	}
@@ -353,9 +353,7 @@ func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 	if np.Sync.PanelPtr[numPanels] != int64(len(syncEntries)) {
 		return fmt.Errorf("core: rank %d: panel pointers inconsistent", rank)
 	}
-	if !params.DisableRowReorder {
-		reorderPanelRows(layout, np.Sync.Entries, np.Sync.PanelPtr)
-	}
+	reorderPanelRows(layout, np.Sync.Entries, np.Sync.PanelPtr)
 	return nil
 }
 

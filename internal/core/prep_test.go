@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -149,8 +150,8 @@ func TestPreprocessSyncMatrixPanelRowRuns(t *testing.T) {
 }
 
 // What summing a sync row straight into C relies on, over every registry
-// archetype, with the row reordering on and off and with load-balanced row
-// bounds: each node-local row's sync nonzeros sit in exactly one panel as one
+// archetype, as shipped (rows reordered within panels), on the row-major twin
+// and with load-balanced row bounds: each node-local row's sync nonzeros sit in exactly one panel as one
 // contiguous run (one writer, one pass), and the rows marked shared are
 // exactly the rows async stripes touch.
 func TestSingleWriterRowInvariantOnRegistry(t *testing.T) {
@@ -158,13 +159,16 @@ func TestSingleWriterRowInvariantOnRegistry(t *testing.T) {
 		const scale = 0.004
 		a := spec.Build(scale, 7)
 		for _, cfg := range []struct {
-			name             string
-			noReorder, level bool
+			name            string
+			rowMajor, level bool
 		}{{"reordered", false, false}, {"rowmajor", true, false}, {"balanced", false, true}} {
-			params := Params{P: 4, K: 8, W: spec.ScaledWidth(scale), DisableRowReorder: cfg.noReorder, BalanceRows: cfg.level}
+			params := Params{P: 4, K: 8, W: spec.ScaledWidth(scale), BalanceRows: cfg.level}
 			prep, err := Preprocess(a, params)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cfg.rowMajor {
+				sortPanelsRowMajor(prep)
 			}
 			for i := range prep.Nodes {
 				np := &prep.Nodes[i]
@@ -215,32 +219,21 @@ func TestSharedRowsMarksRowSplitAcrossPanels(t *testing.T) {
 	}
 }
 
-// With the reorder disabled, panels are strictly row-major as the seed
-// produced them.
-func TestPreprocessSyncMatrixRowMajorPanels(t *testing.T) {
-	a := randomCOO(128, 128, 1500, 6)
-	params := basicParams(4, 8, 8)
-	params.DisableRowReorder = true
-	prep, err := Preprocess(a, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+// sortPanelsRowMajor undoes reorderPanelRows on a freshly preprocessed plan:
+// every sync panel back in (row, col) order, the layout the seed produced and
+// the twin the reordered layout is compared against. Call it before anything
+// derives cached state (deps, sharedRows) from the plan.
+func sortPanelsRowMajor(prep *Prep) {
 	for i := range prep.Nodes {
-		np := &prep.Nodes[i]
-		h := prep.Params.RowPanelHeight
-		for p := 0; p < np.Sync.NumPanels(); p++ {
-			panel := np.Sync.Entries[np.Sync.PanelPtr[p]:np.Sync.PanelPtr[p+1]]
-			for j, e := range panel {
-				if e.Row/h != int32(p) {
-					t.Fatalf("rank %d: entry row %d in panel %d (height %d)", i, e.Row, p, h)
+		sm := &prep.Nodes[i].Sync
+		for p := 0; p < sm.NumPanels(); p++ {
+			panel := sm.Entries[sm.PanelPtr[p]:sm.PanelPtr[p+1]]
+			sort.Slice(panel, func(x, y int) bool {
+				if panel[x].Row != panel[y].Row {
+					return panel[x].Row < panel[y].Row
 				}
-				if j > 0 {
-					prev := panel[j-1]
-					if prev.Row > e.Row || (prev.Row == e.Row && prev.Col > e.Col) {
-						t.Fatalf("rank %d panel %d: not row-major", i, p)
-					}
-				}
-			}
+				return panel[x].Col < panel[y].Col
+			})
 		}
 	}
 }
@@ -260,11 +253,11 @@ func TestRowReorderBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params.DisableRowReorder = true
 	off, err := Preprocess(a, params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sortPanelsRowMajor(off)
 	reordered := false
 	for i := range on.Nodes {
 		for j, e := range on.Nodes[i].Sync.Entries {
@@ -339,7 +332,6 @@ func TestRowReorderBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params.DisableRowReorder = false
 	resOn, err := Exec(on, b, cluOn, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -20,12 +20,11 @@ import (
 //
 // The recovery unit numbering is canonical and shared by the doomed rank's
 // checkpoints and the survivors' redistribution: units [0, nAsync) are the
-// async batches of buildAsyncSchedule (or the async stripes, one each, under
-// LegacyAsyncGets), and units [nAsync, nAsync+nPanels) are the sync row
-// panels in plain index order. A DeathRecord's Units field is a cut in this
-// numbering: everything below it was made durable by the last checkpoint,
-// everything at or above it is re-executed by the survivors, striped
-// round-robin over the live ranks in rank order.
+// async batches of buildAsyncSchedule, and units [nAsync, nAsync+nPanels) are
+// the sync row panels in plain index order. A DeathRecord's Units field is a
+// cut in this numbering: everything below it was made durable by the last
+// checkpoint, everything at or above it is re-executed by the survivors,
+// striped round-robin over the live ranks in rank order.
 
 // defaultCheckpointCadence sets the automatic checkpoint interval to this
 // many checkpoint write costs, bounding checkpoint overhead to roughly
@@ -141,6 +140,40 @@ func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *liveOutput
 	ck.nextAt = r.Breakdown().NodeTime() + ck.interval
 }
 
+// unitRunner executes one node part's recovery units in the canonical
+// numbering, for the doomed rank's serial loop and the survivors' re-execution
+// alike. Scratch is fresh and unpooled and there is no row cache: the charge
+// sequence — which fixes where a crash lands and what a replay reproduces —
+// must not depend on earlier runs' state.
+type unitRunner struct {
+	prep     *Prep
+	b        *dense.Matrix
+	r        *cluster.Rank
+	np       *NodePart
+	opts     ExecOptions
+	batches  []asyncBatch // units [0, len(batches)); a pure function of the plan
+	resolver rowResolver  // dense rows for the panel units
+	aws      asyncScratch
+	pws      panelScratch
+}
+
+func newUnitRunner(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, opts ExecOptions) *unitRunner {
+	return &unitRunner{prep: prep, b: b, r: r, np: np, opts: opts,
+		batches: buildAsyncSchedule(prep.Layout, np, prep.Params.K, prep.Params.MaxBatchBytes, nil)}
+}
+
+func (ur *unitRunner) units() int { return len(ur.batches) + ur.np.Sync.NumPanels() }
+
+// run executes unit u into sink.
+func (ur *unitRunner) run(u int, sink accumSink) error {
+	smp := ur.opts.sampling()
+	if u < len(ur.batches) {
+		return processAsyncBatch(ur.prep, ur.b, ur.r, ur.np, sink, &ur.aws, ur.batches[u], nil, ur.opts.SkipCompute, smp)
+	}
+	_, err := processSyncRowPanel(ur.prep, ur.r, ur.np, sink, ur.resolver, &ur.pws, u-len(ur.batches), ur.opts.SkipCompute, smp)
+	return err
+}
+
 // execNodeDoomed is Algorithm 1 for a rank whose fault plan crashes it and
 // whose cluster is in fail-recover mode. It runs single-threaded so the
 // clock at every unit boundary — and therefore the crash cut — is a pure
@@ -151,94 +184,67 @@ func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *liveOutput
 // returns nil. Die fails (propagating to the PR 3 abort path) only when no
 // live rank would remain to recover.
 func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator) error {
-	layout, params := prep.Layout, prep.Params
-	net := r.Net()
 	np := &prep.Nodes[r.ID]
-	k := params.K
-	crashAt := r.CrashTime()
-
-	colBlock := layout.ColBlock(r.ID)
-	r.Expose("B", b.RowRange(colBlock.Lo, colBlock.Hi))
-	if err := r.Barrier(); err != nil {
+	k := prep.Params.K
+	if err := beginNode(prep, b, r, np); err != nil {
 		return err
 	}
-
-	rooted := 0
-	lo, hi := layout.NodeStripeRange(r.ID)
-	for sid := lo; sid < hi; sid++ {
-		if len(prep.Dests[sid]) > 0 {
-			rooted++
-		}
-	}
-	r.ChargeOp(cluster.Other, "setup", net.SetupBase+net.SetupPerStripe*float64(len(np.RecvStripes)+np.Async.NumStripes()+rooted))
 
 	ck := newCheckpointer(r, np, k, opts)
-	die := func() error {
-		return r.Die(r.Breakdown().NodeTime(), ck.cut, ck.count)
-	}
-	// crashed distinguishes this rank's own crash from a cluster-wide abort
-	// (another rank's failure), which must propagate as an error instead.
-	crashed := func(err error) bool {
-		return errors.Is(err, cluster.ErrCrashed) && !errors.Is(err, cluster.ErrAborted)
-	}
-
-	// Dense-stripe reception, serialized (no pipeline: its overlap credit
-	// would depend on goroutine timing, and a doomed rank needs a replayable
-	// clock more than it needs overlap it won't live to enjoy). The sink is
-	// created before the transfers so the cadence can tick through them.
 	sink := &stagedSink{}
-	recvBufs := make([][]float64, layout.NumStripes())
-	if dead, err := doomedSyncTransfers(prep, r, np, recvBufs, k, ck, sink, out, crashAt); dead {
-		return die()
-	} else if err != nil {
-		if crashed(err) {
-			return die()
+	atCrash := func() error {
+		if r.Breakdown().NodeTime() >= r.CrashTime() {
+			return cluster.ErrCrashed
 		}
-		return err
+		return nil
 	}
-
-	legacy := params.LegacyAsyncGets
-	var batches []asyncBatch
-	nAsync := np.Async.NumStripes()
-	if !legacy {
-		batches = buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
-		nAsync = len(batches)
-	}
-	total := nAsync + np.Sync.NumPanels()
-
-	// Fresh, unpooled scratch and no row cache: the charge sequence — which
-	// fixes where the crash lands — must not depend on earlier runs' state.
-	aws := &asyncScratch{}
-	pws := &panelScratch{}
-	defer pws.release()
-	resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
-	smp := opts.sampling()
-	for u := 0; u < total; u++ {
-		if r.Breakdown().NodeTime() >= crashAt {
-			sink.reset()
-			return die()
-		}
-		var err error
-		switch {
-		case u < nAsync && legacy:
-			err = processAsyncStripe(prep, b, r, np, sink, aws, u, opts.SkipCompute, smp)
-		case u < nAsync:
-			err = processAsyncBatch(prep, b, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
-		default:
-			_, err = processSyncRowPanel(prep, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
-		}
-		if err != nil {
-			if crashed(err) {
-				sink.reset()
-				return die()
-			}
+	// fail ends the rank on err. Its own crash — the boundary check above, or
+	// the crash tripping inside a pull or get — discards the work staged since
+	// the last checkpoint and dies; a cluster-wide abort (another rank's
+	// failure) must propagate as an error instead.
+	fail := func(err error) error {
+		if !errors.Is(err, cluster.ErrCrashed) || errors.Is(err, cluster.ErrAborted) {
 			return err
 		}
-		ck.maybe(r, sink, out, u+1)
-	}
-	if r.Breakdown().NodeTime() >= crashAt {
 		sink.reset()
-		return die()
+		return r.Die(r.Breakdown().NodeTime(), ck.cut, ck.count)
+	}
+	// boundary closes a unit: tick the checkpoint cadence, then check the
+	// crash clock.
+	boundary := func(unitsDone int) error {
+		ck.maybe(r, sink, out, unitsDone)
+		return atCrash()
+	}
+
+	// Dense-stripe reception, serialized: every panel runs after the last
+	// stripe, so the pipeline's gates have no waiters and no overlap credit is
+	// taken (it would depend on goroutine timing, and a doomed rank needs a
+	// replayable clock more than overlap it won't live to enjoy). A cadence
+	// tick before any unit has run writes an (empty, cut 0) checkpoint —
+	// keeping the doomed rank's checkpoint count consistent with the healthy
+	// ranks' floor(NodeTime/interval) accounting even when the crash lands
+	// inside the transfer phase.
+	recvBufs := make([][]float64, prep.Layout.NumStripes())
+	err := atCrash()
+	if err == nil {
+		err = syncTransfers(prep, r, np, recvBufs, &recvArena{}, k, newSyncPipeline(len(np.RecvStripes)),
+			func() error { return boundary(0) })
+	}
+	if err != nil {
+		return fail(err)
+	}
+
+	ur := newUnitRunner(prep, b, r, np, opts)
+	ur.resolver = makeRowResolver(prep, b, r.ID, recvBufs, k)
+	total := ur.units()
+	for u := 0; u < total; u++ {
+		err := ur.run(u, sink)
+		if err == nil {
+			err = boundary(u + 1)
+		}
+		if err != nil {
+			return fail(err)
+		}
 	}
 	// The crash time lies beyond the rank's whole run: it completes normally
 	// (its clock is frozen from here, so the fence cannot trip it) and joins
@@ -251,58 +257,6 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutpu
 		return err
 	}
 	return runRecoveryPhase(prep, b, r, out, opts, rec)
-}
-
-// doomedSyncTransfers is the doomed rank's serialized replica of
-// syncTransfers: the same root- and receiver-side charge sequence, but with
-// the crash clock checked and the checkpoint cadence ticked at each stripe
-// boundary. A cadence tick before any unit has run writes an (empty, cut 0)
-// checkpoint — keeping the doomed rank's checkpoint count consistent with
-// the healthy ranks' floor(NodeTime/interval) accounting even when the
-// crash lands inside the transfer phase. Returns dead=true when the rank
-// hit its crash boundary; err carries transfer failures (which may
-// themselves wrap the crash, tripped inside a pull).
-func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int, ck *checkpointer, sink *stagedSink, out *liveOutput, crashAt float64) (dead bool, err error) {
-	layout := prep.Layout
-	net := r.Net()
-
-	lo, hi := layout.NodeStripeRange(r.ID)
-	for sid := lo; sid < hi; sid++ {
-		if n := len(prep.Dests[sid]); n > 0 {
-			if r.Breakdown().NodeTime() >= crashAt {
-				return true, nil
-			}
-			elems := int64(layout.StripeWidthOf(sid)) * int64(k)
-			r.ChargeOp(cluster.SyncComm, "multicast.root", net.MulticastCost(elems, n))
-			ck.maybe(r, sink, out, 0)
-		}
-	}
-
-	var total int64
-	for _, sid := range np.RecvStripes {
-		colLo, colHi := layout.StripeCols(sid)
-		total += int64(colHi-colLo) * int64(k)
-	}
-	buf := make([]float64, total)
-	for _, sid := range np.RecvStripes {
-		if r.Breakdown().NodeTime() >= crashAt {
-			return true, nil
-		}
-		colLo, colHi := layout.StripeCols(sid)
-		owner := layout.StripeOwner(sid)
-		ownerBlock := layout.ColBlock(owner)
-		elems := int64(colHi-colLo) * int64(k)
-		dst := buf[:elems:elems]
-		buf = buf[elems:]
-		off := int64(colLo-int32(ownerBlock.Lo)) * int64(k)
-		if _, _, err := r.MulticastPullTimed(owner, "B", off, elems, dst); err != nil {
-			return false, err
-		}
-		recvBufs[sid] = dst
-		r.ChargeOp(cluster.SyncComm, "multicast.recv", net.MulticastCost(elems, len(prep.Dests[sid])))
-		ck.maybe(r, sink, out, 0)
-	}
-	return false, nil
 }
 
 // runRecoveryPhase is the survivors' post-fence tail: nothing on a run
@@ -362,20 +316,11 @@ func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, 
 // happen in one deterministic sequence regardless of survivor interleaving,
 // and a same-seed replay reproduces C bit-for-bit.
 func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
-	layout, params := prep.Layout, prep.Params
-	k := params.K
-	np := &prep.Nodes[d.Rank]
-	legacy := params.LegacyAsyncGets
-	var batches []asyncBatch
-	nAsync := np.Async.NumStripes()
-	if !legacy {
-		// buildAsyncSchedule is a pure function of the plan, so every
-		// survivor independently reconstructs the dead rank's batch list —
-		// and the unit numbering its checkpoints used.
-		batches = buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
-		nAsync = len(batches)
-	}
-	todo := nAsync + np.Sync.NumPanels() - d.Units
+	// Every survivor independently reconstructs the dead rank's batch list —
+	// and with it the unit numbering its checkpoints used.
+	ur := newUnitRunner(prep, b, r, &prep.Nodes[d.Rank], opts)
+	nAsync := len(ur.batches)
+	todo := ur.units() - d.Units
 	if todo <= 0 {
 		return 0, 0, nil
 	}
@@ -389,11 +334,10 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, o
 	// column block plus the received stripes those panels reference, all
 	// re-pulled over the reliable collective substrate. Built even under
 	// SkipCompute so the re-fetch charges (timing) don't depend on it.
-	var resolver rowResolver
 	for j := myPos; j < todo; j += len(live) {
 		if d.Units+j >= nAsync {
 			var rerr error
-			if resolver, rerr = buildRecoveryResolver(prep, r, d, live, myPos, nAsync, todo); rerr != nil {
+			if ur.resolver, rerr = buildRecoveryResolver(prep, r, d, live, myPos, nAsync, todo); rerr != nil {
 				return abort(rerr)
 			}
 			break
@@ -401,22 +345,9 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, o
 	}
 
 	sink := &stagedSink{}
-	aws := &asyncScratch{}
-	pws := &panelScratch{}
-	defer pws.release()
-	smp := opts.sampling()
 	for j := myPos; j < todo; j += len(live) {
 		u := d.Units + j
-		var uerr error
-		switch {
-		case u < nAsync && legacy:
-			uerr = processAsyncStripe(prep, b, r, np, sink, aws, u, opts.SkipCompute, smp)
-		case u < nAsync:
-			uerr = processAsyncBatch(prep, b, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
-		default:
-			_, uerr = processSyncRowPanel(prep, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
-		}
-		if uerr != nil {
+		if uerr := ur.run(u, sink); uerr != nil {
 			return abort(uerr)
 		}
 		if werr := pl.wait(j); werr != nil {
@@ -424,13 +355,10 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, o
 		}
 		sink.flush(out)
 		pl.done()
-		switch {
-		case u >= nAsync:
+		if u < nAsync {
+			stripes += int64(ur.batches[u].hi - ur.batches[u].lo)
+		} else {
 			panels++
-		case legacy:
-			stripes++
-		default:
-			stripes += int64(batches[u].hi - batches[u].lo)
 		}
 	}
 	return stripes, panels, nil

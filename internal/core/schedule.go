@@ -11,17 +11,15 @@ import (
 	"twoface/internal/obs"
 )
 
-// The async communication scheduler. The per-stripe path (processAsyncStripe)
-// issues one GetIndexed per async stripe, paying the ~7.5x per-request
-// overhead AlphaA every time even when consecutive stripes live on the same
-// owner. This file replaces it (unless Params.LegacyAsyncGets) with an
-// owner-batched schedule: consecutive same-owner stripes are grouped into one
-// aggregated request whose regions are each stripe's own coalesced region
-// list, merged only where exactly contiguous — so the fetched row multiset is
-// identical to the per-stripe path's, just carried by far fewer requests. On
-// top of the batches sits a per-rank bounded row cache that serves rows
-// already fetched by an earlier run on the same Prep and B, dropping them
-// from the outgoing region lists entirely.
+// The async communication scheduler. Issuing one GetIndexed per async stripe
+// pays the ~7.5x per-request overhead AlphaA every time, even when consecutive
+// stripes live on the same owner. The schedule here groups consecutive
+// same-owner stripes into one aggregated request whose regions are each
+// stripe's own coalesced region list, merged only where exactly contiguous —
+// so the fetched row multiset is what per-stripe gets would fetch, carried by
+// far fewer requests. On top of the batches sits a per-rank bounded row cache
+// that serves rows already fetched by an earlier run on the same Prep and B,
+// dropping them from the outgoing region lists entirely.
 
 // Scheduler metrics (inert until obs.Default is enabled; counters are cheap
 // unconditional atomics, histograms are guarded at the call sites).
@@ -90,7 +88,7 @@ func stripeFetchBytes(np *NodePart, i int, k int) int64 {
 // the cap's arithmetic limit). The estimate only shifts the classifier's
 // sync/async split point; execution batches whatever the schedule yields.
 func asyncBatchEstimate(infos []model.StripeInfo, params Params) float64 {
-	if params.LegacyAsyncGets || len(infos) == 0 {
+	if len(infos) == 0 {
 		return 1
 	}
 	var rows int64
@@ -119,11 +117,11 @@ const missMark = int32(math.MaxInt32)
 // planBatchRegions turns a batch's gathered columns (ws.cols, with per-stripe
 // bounds ws.stripeColPtr and cache hits already marked in ws.rowRef) into the
 // aggregated request's region list. Each stripe's miss columns are coalesced
-// independently with the same maxGap as the per-stripe path, and regions are
-// merged across stripe boundaries only when exactly contiguous — both steps
-// preserve the fetched row multiset bit-identically, which is what keeps the
-// batched path superset-free versus per-stripe fetching (stripes partition
-// the column space, so per-stripe fetch sets are disjoint by construction).
+// independently under maxGap, and regions are merged across stripe boundaries
+// only when exactly contiguous — so a batch fetches exactly the rows its
+// stripes would fetch one get each, however the schedule cuts the batches
+// (stripes partition the column space, so per-stripe fetch sets are disjoint
+// by construction).
 // On return ws.regions holds the request and every missMark in ws.rowRef has
 // been resolved to its drows row index; the total fetched row count is
 // returned.
@@ -227,9 +225,9 @@ func (s RowCacheStats) HitRate() float64 {
 // creating them on first use and invalidating them whenever B's backing
 // array changes — identity first (pointer and length), plus a strided
 // content fingerprint that catches the common in-place mutation patterns.
-// Returns nil (cache off) under LegacyAsyncGets or a negative RowCacheElems.
+// Returns nil (cache off) under a negative RowCacheElems.
 func (p *Prep) attachRowCaches(b *dense.Matrix) []*rowCache {
-	if p.Params.LegacyAsyncGets || p.Params.RowCacheElems < 0 {
+	if p.Params.RowCacheElems < 0 {
 		return nil
 	}
 	p.cacheMu.Lock()
@@ -290,14 +288,13 @@ func fingerprint(data []float64) uint64 {
 	return h
 }
 
-// processAsyncBatch fetches and computes one owner-batch of async stripes:
+// processAsyncBatch is Algorithm 3 over one owner-batch of async stripes:
 // gather each stripe's distinct columns, serve cache hits locally, coalesce
 // the misses into one aggregated GetIndexed, then run the per-stripe
 // accumulation kernels against the combined fetch+cache buffers. Modeled
-// cost: one OneSidedBatchCost charge for the whole request (AlphaA once),
-// the same per-stripe AsyncComputeCost as the per-stripe path, and the same
-// SyncFallbackPull degradation — applied per batch — when the retry budget
-// runs out.
+// cost: one OneSidedBatchCost charge for the whole request (AlphaA once), one
+// AsyncComputeCost charge per stripe, and a SyncFallbackPull degradation —
+// applied per batch — when the retry budget runs out.
 func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, out accumSink, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
@@ -405,10 +402,11 @@ func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePar
 		cache.mu.Unlock()
 	}
 
-	// Per-stripe accumulation, exactly as the per-stripe path: stripe-local
-	// buffer, one atomic AddRange per touched C row, per-stripe AsyncComp
-	// charge. The batch's communication cost is spread evenly across its
-	// stripes for the stripe-seconds histogram.
+	// Per-stripe accumulation into a stripe-local buffer flushed once per
+	// touched C row — the flush is the only atomic traffic: one AddRange pass
+	// per output row instead of a CAS loop per scalar per nonzero — with a
+	// per-stripe AsyncComp charge. The batch's communication cost is spread
+	// evenly across its stripes for the stripe-seconds histogram.
 	commShare := commCost / float64(bt.hi-bt.lo)
 	for si := bt.lo; si < bt.hi; si++ {
 		entries := np.Async.Entries[np.Async.StripePtr[si]:np.Async.StripePtr[si+1]]

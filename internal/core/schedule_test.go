@@ -11,9 +11,9 @@ import (
 	"twoface/internal/sparse"
 )
 
-// forcedPrep preprocesses with a pinned sync/async split so the legacy and
-// batched paths classify identically (the batched classifier otherwise
-// amortizes AlphaA and shifts the split point).
+// forcedPrep preprocesses with a pinned sync/async split so a plan and its
+// per-stripe twin classify identically (the classifier otherwise amortizes
+// AlphaA over the expected batch and shifts the split point).
 func forcedPrep(t *testing.T, a *sparse.COO, params Params, frac float64) *Prep {
 	t.Helper()
 	params.ForceSplit = &frac
@@ -228,16 +228,7 @@ func TestAttachRowCachesLifecycle(t *testing.T) {
 		t.Fatal("mutating B in place must invalidate the caches")
 	}
 
-	// The toggles disable the cache entirely.
-	params.LegacyAsyncGets = true
-	legacyPrep, err := Preprocess(a, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyPrep.attachRowCaches(b) != nil {
-		t.Fatal("LegacyAsyncGets must disable the row cache")
-	}
-	params.LegacyAsyncGets = false
+	// A negative bound disables the cache entirely.
 	params.RowCacheElems = -1
 	offPrep, err := Preprocess(a, params)
 	if err != nil {
@@ -277,25 +268,25 @@ func TestRowCacheRespectsLimit(t *testing.T) {
 	}
 }
 
-// TestExecBatchedMatchesLegacy is the headline equivalence check: with the
-// classification pinned, the batched path must move exactly the bytes the
-// legacy path moves (cold cache), in strictly fewer requests, and produce the
-// same C; a warm second run must then move strictly fewer bytes, again with
-// the same C.
-func TestExecBatchedMatchesLegacy(t *testing.T) {
+// TestExecBatchedMatchesPerStripe is the headline equivalence check: with the
+// classification pinned, the batched schedule must move exactly the bytes its
+// per-stripe twin moves (one get per async stripe, no cache — the seed
+// schedule), in strictly fewer requests, and produce the same C; a warm second
+// run must then move strictly fewer bytes, again with the same C.
+func TestExecBatchedMatchesPerStripe(t *testing.T) {
 	a := randomCOO(320, 320, 9000, 13)
 	b := dense.Random(320, 8, 7)
 	want, _ := a.ToCSR().Mul(b)
 
-	legacyParams := basicParams(4, 8, 8)
-	legacyParams.LegacyAsyncGets = true
-	legacyPrep := forcedPrep(t, a, legacyParams, 0.5)
+	twinParams := basicParams(4, 8, 8)
+	twinParams.MaxBatchBytes, twinParams.RowCacheElems = 1, -1
+	twinPrep := forcedPrep(t, a, twinParams, 0.5)
 	clu, _ := cluster.New(4, cluster.Default())
-	legacy, err := Exec(legacyPrep, b, clu, ExecOptions{})
+	twin, err := Exec(twinPrep, b, clu, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt := legacy.TotalTransfer
+	lt := twin.TotalTransfer
 
 	batchedPrep := forcedPrep(t, a, basicParams(4, 8, 8), 0.5)
 	cold, err := Exec(batchedPrep, b, clu, ExecOptions{})
@@ -304,22 +295,25 @@ func TestExecBatchedMatchesLegacy(t *testing.T) {
 	}
 	ct := cold.TotalTransfer
 
-	if !legacy.C.AlmostEqual(want, 1e-9) || !cold.C.AlmostEqual(want, 1e-9) {
+	if !twin.C.AlmostEqual(want, 1e-9) || !cold.C.AlmostEqual(want, 1e-9) {
 		t.Fatal("a path diverged from the reference kernel")
 	}
 	if lt.OneSidedGets == 0 {
 		t.Fatal("test workload has no async stripes; widen it")
 	}
 	if ct.OneSidedBytes != lt.OneSidedBytes {
-		t.Fatalf("cold batched bytes %d != legacy bytes %d (fetch sets must be identical)", ct.OneSidedBytes, lt.OneSidedBytes)
+		t.Fatalf("cold batched bytes %d != per-stripe bytes %d (fetch sets must be identical)", ct.OneSidedBytes, lt.OneSidedBytes)
 	}
 	if ct.OneSidedGets >= lt.OneSidedGets {
-		t.Fatalf("batched gets %d not fewer than legacy %d", ct.OneSidedGets, lt.OneSidedGets)
+		t.Fatalf("batched gets %d not fewer than per-stripe %d", ct.OneSidedGets, lt.OneSidedGets)
 	}
 	if ct.OneSidedMsgs > lt.OneSidedMsgs {
-		t.Fatalf("batched regions %d exceed legacy %d", ct.OneSidedMsgs, lt.OneSidedMsgs)
+		t.Fatalf("batched regions %d exceed per-stripe %d", ct.OneSidedMsgs, lt.OneSidedMsgs)
 	}
-	// Legacy accounting: one get per async stripe fetch.
+	// The twin really is per-stripe: one get per non-empty async stripe.
+	if lt.OneSidedGets != twinPrep.Stats.AsyncStripes {
+		t.Fatalf("per-stripe twin issued %d gets for %d async stripes", lt.OneSidedGets, twinPrep.Stats.AsyncStripes)
+	}
 	if cold.RowCache.Hits != 0 {
 		t.Fatalf("cold run had %d cache hits", cold.RowCache.Hits)
 	}
@@ -351,10 +345,10 @@ func TestAsyncBatchEstimate(t *testing.T) {
 	mk := func(rows int64) []model.StripeInfo {
 		return []model.StripeInfo{{NNZ: 10, RowsNeeded: rows}}
 	}
-	legacy := params
-	legacy.LegacyAsyncGets = true
-	if got := asyncBatchEstimate(mk(100), legacy); got != 1 {
-		t.Fatalf("legacy estimate = %v, want 1", got)
+	perStripe := params
+	perStripe.MaxBatchBytes = 1
+	if got := asyncBatchEstimate(mk(100), perStripe); got != 1 {
+		t.Fatalf("per-stripe estimate = %v, want 1", got)
 	}
 	if got := asyncBatchEstimate(nil, params); got != 1 {
 		t.Fatalf("empty estimate = %v, want 1", got)

@@ -13,11 +13,10 @@ import (
 // repeated Exec calls during GNN training — allocates nothing per stripe or
 // panel: every buffer grows to its high-water mark and is reused.
 
-// asyncScratch backs processAsyncStripe and processAsyncBatch: the
-// unique-column scan, the coalesced fetch regions, the one-sided fetch
-// buffer, and the stripe-local accumulator. The batched path additionally
-// uses per-stripe column bounds, the per-column row references, the copies
-// of cache-hit rows, and the per-stripe miss/coalesce scratch.
+// asyncScratch backs processAsyncBatch: the unique-column scan with its
+// per-stripe bounds, the per-column row references, the copies of cache-hit
+// rows, the per-stripe miss/coalesce scratch, the aggregated fetch regions,
+// the one-sided fetch buffer, and the stripe-local accumulator.
 // Retention note: every asyncScratch field is a slice of values (indices,
 // regions, or float64 copies — crows holds copies of cached rows, rowRef
 // holds indices, never slice headers into foreign arrays), so parking one in

@@ -34,9 +34,6 @@ type Config struct {
 	// AsyncWorkers is the per-node goroutine count draining the one-sided
 	// queue (wall-clock only); default 2.
 	AsyncWorkers int
-	// LegacyAsync runs Two-Face with the pre-aggregation one-sided path
-	// (one get per async stripe, no row cache) — the fidelity toggle.
-	LegacyAsync bool
 	// Verify keeps the floating-point accumulation loops on so results can
 	// be checked against the reference kernel. Off by default: the
 	// experiments report modeled time, which is independent of the
@@ -224,10 +221,9 @@ func (c Config) runTwoFace(w *Workload, k, p int, clu *cluster.Cluster, force *f
 	cc := c.normalize()
 	params := core.Params{
 		P: p, K: k, W: w.W,
-		Coef:            cc.Coef(),
-		ForceSplit:      force,
-		MemBudgetElems:  cc.MemBudget(),
-		LegacyAsyncGets: cc.LegacyAsync,
+		Coef:           cc.Coef(),
+		ForceSplit:     force,
+		MemBudgetElems: cc.MemBudget(),
 	}
 	prep, err := core.Preprocess(w.A, params)
 	if err != nil {

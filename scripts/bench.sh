@@ -97,10 +97,10 @@ to_json "$RAW" > "$OUT"
 echo "wrote $OUT"
 
 # Communication-aggregation deltas: per registry matrix, one-sided request
-# and byte counts for the legacy, batched-cold, and batched-warm paths, plus
+# and byte counts for the per-stripe twin, batched-cold, and batched-warm runs, plus
 # the sync-pipelining comparison (modeled_serial_seconds vs
-# modeled_pipelined_seconds and the overlap_gain ratio — the serialized
-# accounting is never faster). Compare runs with  git diff BENCH_comm.json
+# modeled_pipelined_seconds and the overlap_gain ratio — the serial
+# accounting, the same ledger with SyncOverlap zeroed, is never faster). Compare runs with  git diff BENCH_comm.json
 COMM_OUT="BENCH_comm.json"
 go run ./cmd/twoface-bench -exp comm -scale 0.25 -comm-out "$COMM_OUT" >/dev/null
 echo "wrote $COMM_OUT"

@@ -134,43 +134,9 @@ grep -q 'chaos: recovered 1 crashed rank' "$tmp/crash.out"
 grep -Eq 'chaos: (bit-exact with|matches) the fault-free run' "$tmp/crash.out"
 grep -q '^critical path: rank ' "$tmp/crash.out"
 
-echo "== async aggregation smoke (batched vs legacy one-sided path, -race)"
-go run -race ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface \
-    >"$tmp/batched.out"
-go run -race ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface \
-    -legacy-async >"$tmp/legacy.out"
-# Both modes must verify against the reference kernel, and the batched path
-# must not issue more one-sided requests than the legacy per-stripe path.
-grep -q 'verified against the reference kernel' "$tmp/batched.out"
-grep -q 'verified against the reference kernel' "$tmp/legacy.out"
-batched_gets=$(sed -n 's/.* one-sided in \([0-9]*\) gets.*/\1/p' "$tmp/batched.out")
-legacy_gets=$(sed -n 's/.* one-sided in \([0-9]*\) gets.*/\1/p' "$tmp/legacy.out")
-if [ -n "$batched_gets" ] && [ -n "$legacy_gets" ] && [ "$batched_gets" -gt "$legacy_gets" ]; then
-    echo "batched path issued $batched_gets gets > legacy $legacy_gets" >&2
-    exit 1
-fi
-
-echo "== pipelining smoke (overlapped vs serialized sync path, -race)"
-go run -race ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface \
-    >"$tmp/overlap.out"
-go run -race ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface \
-    -no-overlap >"$tmp/serial.out"
-grep -q 'verified against the reference kernel' "$tmp/overlap.out"
-grep -q 'verified against the reference kernel' "$tmp/serial.out"
-# Pipelining may only hide time, never add it: the overlapped modeled
-# makespan must not exceed the serialized one (awk handles the %.4g floats).
-overlap_t=$(sed -n 's/^modeled time: \([0-9.e+-]*\) s .*/\1/p' "$tmp/overlap.out")
-serial_t=$(sed -n 's/^modeled time: \([0-9.e+-]*\) s .*/\1/p' "$tmp/serial.out")
-if [ -z "$overlap_t" ] || [ -z "$serial_t" ]; then
-    echo "could not parse modeled times from the pipelining smoke" >&2
-    exit 1
-fi
-awk -v a="$overlap_t" -v b="$serial_t" 'BEGIN { exit !(a <= b * 1.0001) }' || {
-    echo "pipelined makespan $overlap_t s exceeds serialized $serial_t s" >&2
-    exit 1
-}
+echo "== multicast-leg chaos smoke (delayed legs under pipelining, -race)"
 # A delayed multicast leg must stall only the panels that need the afflicted
-# stripe — the run still verifies and still beats (or ties) the serial path.
+# stripe: the run completes, verifies, and matches its fault-free twin.
 cat >"$tmp/legs.json" <<'EOF'
 {"seed": 1, "legs": [{"origin": -1, "root": -1, "prob": 0.5, "fails": 1, "delay": 1e-4}]}
 EOF
