@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"sync"
 
 	"twoface/internal/baselines"
@@ -198,15 +197,6 @@ type Plan struct {
 	execMu sync.Mutex
 }
 
-// autoWidth applies the Table 1 rule: a power of two near cols/512, floor 8.
-func autoWidth(cols int32) int32 {
-	w := float64(cols) / 512
-	if w < 8 {
-		return 8
-	}
-	return int32(1) << int32(math.Round(math.Log2(w)))
-}
-
 func (s *System) params(net NetModel) core.Params {
 	p := core.Params{
 		P: s.opts.Nodes, K: s.opts.DenseColumns, W: s.opts.StripeWidth,
@@ -269,7 +259,7 @@ func (s *System) Preprocess(a *SparseMatrix) (*Plan, error) {
 	net := s.netFor(a.NumRows)
 	params := s.params(net)
 	if params.W == 0 {
-		params.W = autoWidth(a.NumCols)
+		params.W = core.AutoWidth(a.NumCols)
 	}
 	prep, err := core.Preprocess(a, params)
 	if err != nil {
@@ -520,7 +510,7 @@ func (s *System) RunBaseline(alg Baseline, a *SparseMatrix, b *DenseMatrix) (*Re
 	case AsyncFine:
 		w := s.opts.StripeWidth
 		if w == 0 {
-			w = autoWidth(a.NumCols)
+			w = core.AutoWidth(a.NumCols)
 		}
 		return baselines.AsyncFine(a, b, clu, w, opts)
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"twoface/internal/core"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -158,11 +160,11 @@ func TestTimingOnlyMode(t *testing.T) {
 }
 
 func TestAutoWidth(t *testing.T) {
-	if w := autoWidth(100); w != 8 {
-		t.Fatalf("autoWidth(100) = %d, want floor 8", w)
+	if w := core.AutoWidth(100); w != 8 {
+		t.Fatalf("AutoWidth(100) = %d, want floor 8", w)
 	}
-	if w := autoWidth(512 * 128); w != 128 {
-		t.Fatalf("autoWidth = %d, want 128", w)
+	if w := core.AutoWidth(512 * 128); w != 128 {
+		t.Fatalf("AutoWidth = %d, want 128", w)
 	}
 }
 
@@ -376,6 +378,28 @@ func TestPlanSaveLoad(t *testing.T) {
 	other2, _ := New(Options{Nodes: 4, DenseColumns: 16})
 	if _, err := other2.LoadPlan(path); err == nil {
 		t.Fatal("wrong K should fail")
+	}
+}
+
+// A plan file whose sync entry names a column past the matrix used to load
+// and then panic inside Multiply; LoadPlan must reject it instead.
+func TestLoadPlanRejectsOutOfRangeColumn(t *testing.T) {
+	a := Generate("web", 0.05, 1)
+	sys, err := New(Options{Nodes: 2, DenseColumns: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.Preprocess(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.prep.Nodes[0].Sync.Entries[0].Col = a.NumCols + 5
+	path := filepath.Join(t.TempDir(), "plan.tfp")
+	if err := plan.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := sys.LoadPlan(path); err == nil {
+		t.Fatalf("corrupt plan loaded (%d rows)", loaded.NumRows())
 	}
 }
 

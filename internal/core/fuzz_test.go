@@ -3,22 +3,30 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"twoface/internal/cluster"
+	"twoface/internal/dense"
 )
 
 // FuzzReadPrep hammers the plan decoder with arbitrary bytes: it must either
-// reject the input or produce a plan whose executor-critical invariants
-// hold, never panic or allocate absurdly.
+// reject the input or produce a plan the executor runs without panicking
+// (an error is fine), never panic or allocate absurdly.
 func FuzzReadPrep(f *testing.F) {
 	a := randomCOO(40, 40, 200, 1)
-	prep, err := Preprocess(a, basicParams(2, 4, 8))
-	if err != nil {
-		f.Fatal(err)
+	half := 0.5
+	split := basicParams(2, 4, 8)
+	split.ForceSplit = &half // async stripes too
+	for _, params := range []Params{basicParams(2, 4, 8), split} {
+		prep, err := Preprocess(a, params)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WritePrep(&buf, prep); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	var buf bytes.Buffer
-	if err := WritePrep(&buf, prep); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 	f.Add([]byte("TFPREP1\x00"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
@@ -41,5 +49,15 @@ func FuzzReadPrep(f *testing.F) {
 				t.Fatal("panel pointers past entries accepted")
 			}
 		}
+		// Execute the plans small enough to run quickly.
+		k := int64(p.Params.K)
+		if p.Params.P > 8 || int64(p.Layout.NumCols)*k > 1<<16 || int64(p.Layout.NumRows)*k > 1<<16 {
+			return
+		}
+		clu, err := cluster.New(p.Params.P, cluster.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = Exec(p, dense.Random(int(p.Layout.NumCols), p.Params.K, 1), clu, ExecOptions{})
 	})
 }

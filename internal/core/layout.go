@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"twoface/internal/dense"
 )
@@ -35,6 +36,16 @@ type Layout struct {
 	// A/C row-block boundaries (len P+1) — the load-balanced partitioning
 	// extension. B's distribution (column blocks) stays equal either way.
 	rowBounds []int32
+}
+
+// AutoWidth is the Table 1 stripe-width rule: the power of two nearest to
+// cols/512, at least 8.
+func AutoWidth(cols int32) int32 {
+	w := float64(cols) / 512
+	if w < 8 {
+		return 8
+	}
+	return int32(1) << int32(math.Round(math.Log2(w)))
 }
 
 // NewLayout validates and builds the partition geometry.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -162,15 +164,16 @@ func Preprocess(a *sparse.COO, params Params) (*Prep, error) {
 
 	// Bucket nonzeros by owning node (counting sort on row blocks).
 	counts := make([]int64, params.P)
+	owners := rowCursor{layout: layout}
 	for _, e := range a.Entries {
-		counts[layout.RowOwner(e.Row)]++
+		counts[owners.owner(e.Row)]++
 	}
 	buckets := make([][]sparse.NZ, params.P)
 	for i := range buckets {
 		buckets[i] = make([]sparse.NZ, 0, counts[i])
 	}
 	for _, e := range a.Entries {
-		i := layout.RowOwner(e.Row)
+		i := owners.owner(e.Row)
 		buckets[i] = append(buckets[i], e)
 	}
 
@@ -206,21 +209,63 @@ func Preprocess(a *sparse.COO, params Params) (*Prep, error) {
 		}
 	}
 
-	// Merge multicast destinations (replicated metadata).
+	// Merge multicast destinations (replicated metadata). Ranks are visited
+	// in order, so every list comes out ascending.
 	for i := range prep.Nodes {
 		for _, sid := range prep.Nodes[i].RecvStripes {
 			prep.Dests[sid] = append(prep.Dests[sid], int32(i))
 		}
-	}
-	for _, d := range prep.Dests {
-		sort.Slice(d, func(a, b int) bool { return d[a] < d[b] })
 	}
 
 	prep.fillStats(start, int64(len(a.Entries)))
 	return prep, nil
 }
 
-// prepNode builds one node's NodePart from its bucketed nonzeros.
+// rowCursor finds the owning node of a row, remembering the last row block
+// it resolved: on row-sorted input (Dedup's order) that is one range check
+// per entry instead of a search through the layout.
+type rowCursor struct {
+	layout *Layout
+	node   int
+	lo, hi int32 // rows of node's block; empty until the first lookup
+}
+
+func (c *rowCursor) owner(row int32) int {
+	if row < c.lo || row >= c.hi {
+		c.seek(row)
+	}
+	return c.node
+}
+
+func (c *rowCursor) seek(row int32) {
+	c.node = c.layout.RowOwner(row)
+	b := c.layout.RowBlock(c.node)
+	c.lo, c.hi = int32(b.Lo), int32(b.Hi)
+}
+
+// stripeCursor finds the stripe of a column, remembering the column bounds
+// of the last stripe it resolved, so a run of ascending columns costs one
+// range check per entry.
+type stripeCursor struct {
+	layout *Layout
+	sid    int32
+	lo, hi int32 // columns of stripe sid; empty until the first lookup
+}
+
+func (c *stripeCursor) stripe(col int32) int32 {
+	if col < c.lo || col >= c.hi {
+		c.seek(col)
+	}
+	return c.sid
+}
+
+func (c *stripeCursor) seek(col int32) {
+	c.sid = c.layout.StripeOfCol(col)
+	c.lo, c.hi = c.layout.StripeCols(c.sid)
+}
+
+// prepNode builds one node's NodePart from its bucketed nonzeros, which it
+// localizes and reorders in place.
 func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 	layout, params := prep.Layout, prep.Params
 	rowBlock := layout.RowBlock(rank)
@@ -230,48 +275,41 @@ func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 
 	// Localize rows and sort column-major: stripe ids are monotone in the
 	// column, so stripes become contiguous runs.
-	local := make([]sparse.NZ, len(entries))
-	for i, e := range entries {
-		local[i] = sparse.NZ{Row: e.Row - np.RowLo, Col: e.Col, Val: e.Val}
+	for i := range entries {
+		entries[i].Row -= np.RowLo
 	}
-	sort.Slice(local, func(i, j int) bool {
-		if local[i].Col != local[j].Col {
-			return local[i].Col < local[j].Col
-		}
-		return local[i].Row < local[j].Row
-	})
+	local := &sparse.COO{NumRows: int32(rowBlock.Len()), NumCols: layout.NumCols, Entries: entries}
+	local.SortColMajor()
 
-	// Scan stripe runs.
+	// Scan stripe runs, each up to its stripe's last column.
 	type stripeRun struct {
 		sid      int32
-		lo, hi   int64 // entry range in `local`
+		local    bool  // the stripe is this node's own (local input)
+		lo, hi   int64 // entry range in `entries`
 		rowsNeed int64 // distinct columns referenced
 	}
 	var runs []stripeRun
-	for lo := int64(0); lo < int64(len(local)); {
-		sid := layout.StripeOfCol(local[lo].Col)
+	var remote []stripeRun
+	stripes := stripeCursor{layout: layout}
+	for lo := int64(0); lo < int64(len(entries)); {
+		sid := stripes.stripe(entries[lo].Col)
 		hi := lo + 1
 		uniq := int64(1)
-		for hi < int64(len(local)) && layout.StripeOfCol(local[hi].Col) == sid {
-			if local[hi].Col != local[hi-1].Col {
+		for hi < int64(len(entries)) && entries[hi].Col < stripes.hi {
+			if entries[hi].Col != entries[hi-1].Col {
 				uniq++
 			}
 			hi++
 		}
-		runs = append(runs, stripeRun{sid: sid, lo: lo, hi: hi, rowsNeed: uniq})
+		r := stripeRun{sid: sid, local: layout.StripeOwner(sid) == rank, lo: lo, hi: hi, rowsNeed: uniq}
+		runs = append(runs, r)
+		if !r.local {
+			remote = append(remote, r)
+		}
 		lo = hi
 	}
 
-	// Split local-input vs remote, then classify the remote stripes.
-	var remote []stripeRun
-	var localRuns []stripeRun
-	for _, r := range runs {
-		if layout.StripeOwner(r.sid) == rank {
-			localRuns = append(localRuns, r)
-		} else {
-			remote = append(remote, r)
-		}
-	}
+	// Classify the remote stripes.
 	infos := make([]model.StripeInfo, len(remote))
 	for i, r := range remote {
 		infos[i] = model.StripeInfo{NNZ: r.hi - r.lo, RowsNeeded: r.rowsNeed}
@@ -306,36 +344,35 @@ func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 		}
 		np.Async.StripePtr = append(np.Async.StripePtr, int64(len(np.Async.Entries)))
 		np.Async.StripeIDs = append(np.Async.StripeIDs, r.sid)
-		np.Async.Entries = append(np.Async.Entries, local[r.lo:r.hi]...)
+		np.Async.Entries = append(np.Async.Entries, entries[r.lo:r.hi]...)
 		np.SA++
 		np.LA += r.rowsNeed
 		np.NA += r.hi - r.lo
 	}
 	np.Async.StripePtr = append(np.Async.StripePtr, int64(len(np.Async.Entries)))
 
-	// Assemble the synchronous/local-input matrix: gather, then re-sort
-	// row-major and panel it.
-	var syncEntries []sparse.NZ
-	for _, r := range localRuns {
-		syncEntries = append(syncEntries, local[r.lo:r.hi]...)
-		np.LocalInputNNZ += r.hi - r.lo
-	}
-	for i, r := range remote {
-		if decision.Async[i] {
-			continue
+	// Assemble the synchronous/local-input matrix: gather the local-input
+	// and synchronous runs in stripe order (so RecvStripes comes out
+	// ascending), then sort row-major and panel it.
+	syncEntries := make([]sparse.NZ, 0, int64(len(entries))-np.NA)
+	ri := 0
+	for _, r := range runs {
+		if !r.local {
+			async := decision.Async[ri]
+			ri++
+			if async {
+				continue
+			}
+			np.RecvStripes = append(np.RecvStripes, r.sid)
+			np.SS++
+			np.SyncNNZ += r.hi - r.lo
+		} else {
+			np.LocalInputNNZ += r.hi - r.lo
 		}
-		syncEntries = append(syncEntries, local[r.lo:r.hi]...)
-		np.RecvStripes = append(np.RecvStripes, r.sid)
-		np.SS++
-		np.SyncNNZ += r.hi - r.lo
+		syncEntries = append(syncEntries, entries[r.lo:r.hi]...)
 	}
-	sort.Slice(np.RecvStripes, func(a, b int) bool { return np.RecvStripes[a] < np.RecvStripes[b] })
-	sort.Slice(syncEntries, func(i, j int) bool {
-		if syncEntries[i].Row != syncEntries[j].Row {
-			return syncEntries[i].Row < syncEntries[j].Row
-		}
-		return syncEntries[i].Col < syncEntries[j].Col
-	})
+	syncMat := &sparse.COO{NumRows: local.NumRows, NumCols: local.NumCols, Entries: syncEntries}
+	syncMat.SortRowMajor()
 	np.Sync.Entries = syncEntries
 
 	h := params.RowPanelHeight
@@ -373,15 +410,16 @@ func reorderPanelRows(layout *Layout, entries []sparse.NZ, panelPtr []int64) {
 	}
 	var runs []rowRun
 	var scratch []sparse.NZ
+	stripes := stripeCursor{layout: layout}
 	for p := 0; p+1 < len(panelPtr); p++ {
 		seg := entries[panelPtr[p]:panelPtr[p+1]]
 		runs = runs[:0]
 		for lo := 0; lo < len(seg); {
 			row := seg[lo].Row
-			sig := uint64(1) << (uint(layout.StripeOfCol(seg[lo].Col)) % 64)
+			sig := uint64(1) << (uint(stripes.stripe(seg[lo].Col)) % 64)
 			hi := lo + 1
 			for hi < len(seg) && seg[hi].Row == row {
-				sig |= uint64(1) << (uint(layout.StripeOfCol(seg[hi].Col)) % 64)
+				sig |= uint64(1) << (uint(stripes.stripe(seg[hi].Col)) % 64)
 				hi++
 			}
 			runs = append(runs, rowRun{sig: sig, row: row, lo: int32(lo), hi: int32(hi)})
@@ -390,11 +428,11 @@ func reorderPanelRows(layout *Layout, entries []sparse.NZ, panelPtr []int64) {
 		if len(runs) < 2 {
 			continue
 		}
-		sort.Slice(runs, func(a, b int) bool {
-			if runs[a].sig != runs[b].sig {
-				return runs[a].sig < runs[b].sig
+		slices.SortFunc(runs, func(a, b rowRun) int {
+			if a.sig != b.sig {
+				return cmp.Compare(a.sig, b.sig)
 			}
-			return runs[a].row < runs[b].row
+			return cmp.Compare(a.row, b.row)
 		})
 		scratch = append(scratch[:0], seg...)
 		out := seg[:0]

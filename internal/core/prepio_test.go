@@ -166,3 +166,61 @@ func TestReadPrepRejectsCorruption(t *testing.T) {
 		t.Fatal("absurd section length should fail")
 	}
 }
+
+// A well-framed plan whose indices point outside what the executor can
+// address must fail to load: each case corrupts one index of a valid plan.
+func TestReadPrepRejectsBadIndices(t *testing.T) {
+	half := 0.5
+	params := basicParams(4, 8, 8)
+	params.ForceSplit = &half
+	build := func() *Prep {
+		prep, err := Preprocess(randomCOO(150, 150, 2500, 1), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep
+	}
+	np0 := func(p *Prep) *NodePart { return &p.Nodes[0] }
+	cases := []struct {
+		name    string
+		corrupt func(p *Prep)
+	}{
+		{"sync col past NumCols", func(p *Prep) { np0(p).Sync.Entries[0].Col = p.Layout.NumCols + 5 }},
+		{"sync row outside its panel", func(p *Prep) { np0(p).Sync.Entries[0].Row = p.Params.RowPanelHeight }},
+		{"panel pointers decrease", func(p *Prep) { np0(p).Sync.PanelPtr[1] = np0(p).Sync.PanelPtr[2] + 1 }},
+		{"panel pointer count", func(p *Prep) { np0(p).Sync.PanelPtr = np0(p).Sync.PanelPtr[1:] }},
+		{"async col outside stripe", func(p *Prep) { np0(p).Async.Entries[0].Col += p.Layout.W }},
+		{"async cols decrease", func(p *Prep) {
+			a := &np0(p).Async
+			es := a.Entries[a.StripePtr[0]:a.StripePtr[1]]
+			es[0], es[len(es)-1] = es[len(es)-1], es[0]
+		}},
+		{"async row outside block", func(p *Prep) { np0(p).Async.Entries[0].Row = -1 }},
+		{"stripe pointer end", func(p *Prep) { a := &np0(p).Async; a.StripePtr[len(a.StripePtr)-1]-- }},
+		{"stripe id out of range", func(p *Prep) { a := &np0(p).Async; a.StripeIDs[len(a.StripeIDs)-1] = p.Layout.NumStripes() }},
+		{"received stripes descend", func(p *Prep) { r := np0(p).RecvStripes; r[0], r[1] = r[1], r[0] }},
+		{"dest rank out of range", func(p *Prep) {
+			for sid := range p.Dests {
+				if len(p.Dests[sid]) > 0 {
+					p.Dests[sid][0] = int32(p.Params.P)
+					return
+				}
+			}
+		}},
+		{"row block moved", func(p *Prep) { np0(p).RowHi++ }},
+	}
+	for _, c := range cases {
+		prep := build()
+		if np := np0(prep); len(np.RecvStripes) < 2 || np.Async.NumStripes() < 1 || len(np.Async.Entries) < 2 {
+			t.Fatalf("fixture needs sync and async stripes on rank 0: %d recv, %d async", len(np.RecvStripes), np.Async.NumStripes())
+		}
+		c.corrupt(prep)
+		var buf bytes.Buffer
+		if err := WritePrep(&buf, prep); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadPrep(&buf); err == nil {
+			t.Errorf("%s: corrupt plan loaded", c.name)
+		}
+	}
+}

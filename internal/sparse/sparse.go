@@ -14,7 +14,8 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // NZ is a single nonzero element of a sparse matrix.
@@ -66,41 +67,122 @@ func (m *COO) Clone() *COO {
 	return out
 }
 
-// SortRowMajor sorts entries by (row, col) ascending.
-func (m *COO) SortRowMajor() {
-	sort.Slice(m.Entries, func(i, j int) bool {
-		a, b := m.Entries[i], m.Entries[j]
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
-}
+// SortRowMajor sorts entries by (row, col) ascending. The sort is stable:
+// entries with equal coordinates keep their order. It is a counting sort on
+// the column, then a stable counting sort on the row, so it runs in
+// O(nnz + NumRows + NumCols) time. Every entry must lie inside the matrix
+// (see Validate).
+func (m *COO) SortRowMajor() { m.sortStable(false) }
 
-// SortColMajor sorts entries by (col, row) ascending.
-func (m *COO) SortColMajor() {
-	sort.Slice(m.Entries, func(i, j int) bool {
-		a, b := m.Entries[i], m.Entries[j]
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Row < b.Row
-	})
-}
+// SortColMajor sorts entries by (col, row) ascending, stably, with the same
+// cost and precondition as SortRowMajor: a counting sort on the row, then
+// one on the column.
+func (m *COO) SortColMajor() { m.sortStable(true) }
 
 // IsSortedRowMajor reports whether entries are ordered by (row, col).
 func (m *COO) IsSortedRowMajor() bool {
-	return sort.SliceIsSorted(m.Entries, func(i, j int) bool {
-		a, b := m.Entries[i], m.Entries[j]
-		if a.Row != b.Row {
-			return a.Row < b.Row
+	for i := 1; i < len(m.Entries); i++ {
+		a, b := m.Entries[i-1], m.Entries[i]
+		if a.Row > b.Row || (a.Row == b.Row && a.Col > b.Col) {
+			return false
 		}
-		return a.Col < b.Col
-	})
+	}
+	return true
 }
 
-// Dedup sums duplicate (row, col) entries in place. The result is row-major
-// sorted. Entries whose sum is exactly zero are kept (structural nonzeros).
+// sortStable is a least-significant-digit radix sort of the entries by
+// (major, minor) key, where the major key is the column when colMajor is set
+// and the row otherwise: one stable counting pass on the minor key, then one
+// on the major key, ping-ponging through one temporary slice. A key the
+// entries already ascend in needs no pass (a stable pass would be the
+// identity), so input sorted on either key costs one pass. A pass's count
+// array spans the key's range (NumRows or NumCols). Only a matrix whose
+// shape dwarfs its entry count splits a key into several narrower digits,
+// which keeps the count array within max(2^16, 2·nnz).
+func (m *COO) sortStable(colMajor bool) {
+	n := len(m.Entries)
+	if n < 2 {
+		return
+	}
+	var dst []NZ
+	src := m.Entries
+	limit := max(1<<16, 2*n)
+	var count []int
+	for _, byCol := range [2]bool{!colMajor, colMajor} {
+		span := int(m.NumRows)
+		if byCol {
+			span = int(m.NumCols)
+		}
+		if span < 2 || ascending(src, byCol) {
+			continue
+		}
+		if dst == nil {
+			dst = make([]NZ, n)
+		}
+		keyBits := bits.Len(uint(span - 1))
+		digitBits := keyBits
+		if span > limit {
+			digitBits = bits.Len(uint(limit)) - 1
+		}
+		for shift := 0; shift < keyBits; shift += digitBits {
+			size := min(1<<digitBits, (span-1)>>shift+1)
+			count = slices.Grow(count[:0], size)[:size]
+			countingPass(dst, src, count, byCol, uint(shift), uint32(1)<<digitBits-1)
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &m.Entries[0] {
+		copy(m.Entries, src)
+	}
+}
+
+// countingPass stably scatters src into dst by the digit (key>>shift)&mask
+// of each entry's column (byCol) or row. len(count) must exceed every digit.
+func countingPass(dst, src []NZ, count []int, byCol bool, shift uint, mask uint32) {
+	clear(count)
+	for i := range src {
+		count[src[i].digit(byCol, shift, mask)]++
+	}
+	sum := 0
+	for d, c := range count {
+		count[d] = sum
+		sum += c
+	}
+	for i := range src {
+		d := src[i].digit(byCol, shift, mask)
+		dst[count[d]] = src[i]
+		count[d]++
+	}
+}
+
+// ascending reports whether the entries' columns (byCol) or rows never
+// decrease.
+func ascending(es []NZ, byCol bool) bool {
+	for i := 1; i < len(es); i++ {
+		if es[i].key(byCol) < es[i-1].key(byCol) {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *NZ) key(byCol bool) int32 {
+	if byCol {
+		return e.Col
+	}
+	return e.Row
+}
+
+func (e *NZ) digit(byCol bool, shift uint, mask uint32) uint32 {
+	return uint32(e.key(byCol)) >> shift & mask
+}
+
+// Dedup sums duplicate (row, col) entries in place and leaves the entries
+// row-major sorted. Because the sort is stable, the duplicates of one
+// coordinate are summed in insertion order, left to right: the result is a
+// deterministic function of the entry sequence. Entries whose sum is
+// exactly zero are kept (structural nonzeros). Every entry must lie inside
+// the matrix (see Validate).
 func (m *COO) Dedup() {
 	if len(m.Entries) == 0 {
 		return

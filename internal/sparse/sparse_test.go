@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +71,108 @@ func TestDedupSums(t *testing.T) {
 	m.SortRowMajor()
 	if m.Entries[1].Row != 1 || m.Entries[1].Col != 1 || m.Entries[1].Val != 4 {
 		t.Fatalf("Dedup sum wrong: %+v", m.Entries[1])
+	}
+}
+
+// dupHeavyCOO draws nnz entries from a quarter of the rows and a third of
+// the columns of a rows x cols matrix (so most rows and columns stay empty
+// and most coordinates repeat), with each value set to its entry index.
+func dupHeavyCOO(rows, cols int32, nnz int, seed uint64) *COO {
+	rng := rand.New(rand.NewPCG(seed, seed+1))
+	m := NewCOO(rows, cols, nnz)
+	pick := func(n int32, every int32) int32 {
+		if n <= every {
+			return rng.Int32N(n)
+		}
+		return rng.Int32N((n+every-1)/every) * every
+	}
+	for i := 0; i < nnz; i++ {
+		m.Append(pick(rows, 4), pick(cols, 3), float64(i))
+	}
+	return m
+}
+
+// The counting sorts must order exactly like a stable comparison sort, on
+// shapes that exercise one pass per key, a skipped pass (one row or one
+// column) and the multi-digit passes of a huge, nearly empty matrix.
+func TestSortsMatchStableSort(t *testing.T) {
+	rowMajor := func(a, b NZ) int {
+		if a.Row != b.Row {
+			return cmp.Compare(a.Row, b.Row)
+		}
+		return cmp.Compare(a.Col, b.Col)
+	}
+	colMajor := func(a, b NZ) int {
+		if a.Col != b.Col {
+			return cmp.Compare(a.Col, b.Col)
+		}
+		return cmp.Compare(a.Row, b.Row)
+	}
+	shapes := []struct{ rows, cols int32 }{
+		{300, 200}, {1, 5000}, {5000, 1}, {1, 1}, {40_000, 70_000}, {1 << 20, 1 << 30},
+	}
+	for i, s := range shapes {
+		random := dupHeavyCOO(s.rows, s.cols, 20_000, uint64(i))
+		// Input already ordered by one key skips that key's pass.
+		byRow, byCol := random.Clone(), random.Clone()
+		slices.SortStableFunc(byRow.Entries, func(a, b NZ) int { return cmp.Compare(a.Row, b.Row) })
+		slices.SortStableFunc(byCol.Entries, func(a, b NZ) int { return cmp.Compare(a.Col, b.Col) })
+		for _, m := range []*COO{random, byRow, byCol} {
+			for _, c := range []struct {
+				name string
+				sort func(*COO)
+				cmp  func(a, b NZ) int
+			}{{"Row", (*COO).SortRowMajor, rowMajor}, {"Col", (*COO).SortColMajor, colMajor}} {
+				got := m.Clone()
+				c.sort(got)
+				want := slices.Clone(m.Entries)
+				slices.SortStableFunc(want, c.cmp)
+				if !slices.Equal(got.Entries, want) {
+					t.Fatalf("%dx%d: Sort%sMajor differs from a stable sort", s.rows, s.cols, c.name)
+				}
+			}
+		}
+	}
+}
+
+// Dedup sums each coordinate's duplicates in insertion order. The
+// 1e16, 1, -1e16 triple sums to a different value in any other order.
+func TestDedupSumsInInsertionOrder(t *testing.T) {
+	for i, s := range []struct{ rows, cols int32 }{{300, 200}, {1, 5000}, {5000, 1}, {1 << 20, 1 << 30}} {
+		m := dupHeavyCOO(s.rows, s.cols, 20_000, uint64(10+i))
+		rng := rand.New(rand.NewPCG(uint64(i), 99))
+		for j := range m.Entries {
+			m.Entries[j].Val = rng.NormFloat64()
+		}
+		for j, v := range []float64{1e16, 1, -1e16} {
+			m.Entries = slices.Insert(m.Entries, 5000*(j+1), NZ{Row: 0, Col: 0, Val: v})
+		}
+		type key struct{ r, c int32 }
+		sums := map[key]float64{}
+		var keys []key
+		for _, e := range m.Entries {
+			k := key{e.Row, e.Col}
+			if _, ok := sums[k]; !ok {
+				keys = append(keys, k)
+			}
+			sums[k] += e.Val
+		}
+		slices.SortFunc(keys, func(a, b key) int {
+			if a.r != b.r {
+				return cmp.Compare(a.r, b.r)
+			}
+			return cmp.Compare(a.c, b.c)
+		})
+		m.Dedup()
+		if len(m.Entries) != len(keys) {
+			t.Fatalf("%dx%d: Dedup left %d entries, want %d", s.rows, s.cols, len(m.Entries), len(keys))
+		}
+		for j, e := range m.Entries {
+			k := keys[j]
+			if e.Row != k.r || e.Col != k.c || e.Val != sums[k] {
+				t.Fatalf("%dx%d: entry %d = %+v, want (%d,%d) %v", s.rows, s.cols, j, e, k.r, k.c, sums[k])
+			}
+		}
 	}
 }
 

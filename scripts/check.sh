@@ -54,6 +54,9 @@ go test -run '^$' \
 echo "== transport benchmark smoke (1 iteration each)"
 go test -run '^$' -bench '^BenchmarkGetRoundTrip$' -benchtime 1x ./internal/transport/tcp
 
+echo "== set-up benchmark smoke (1 iteration each)"
+go test -run '^$' -bench '^Benchmark(Preprocess|ReadPrep)$' -benchtime 1x ./internal/core
+
 echo "== observability smoke (trace + report on a small run)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
