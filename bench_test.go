@@ -622,11 +622,12 @@ func benchPanel() []sparse.NZ {
 	return entries
 }
 
-// panelMultiplyTiled is the shipped sync-panel inner loop in its shared-row
-// form (buffer plus atomic flush; rows only the panel writes skip both):
-// nonzeros within a row are paired so the panel-local accumulation runs
-// through the two-source register-tiled Axpy2, with an odd leftover flushed
-// via plain Axpy.
+// panelMultiplyTiled is the sync-panel inner loop before AxpyGather, kept as
+// the baseline in its shared-row form (buffer plus atomic flush): nonzeros
+// within a row are paired so the panel-local accumulation runs through the
+// two-source register-tiled Axpy2, with an odd leftover flushed via plain
+// Axpy. It is also what AxpyGather itself does on arm64 and under the
+// generic kernels.
 func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out *atomicfloat.Slice, acc []float64, k int) {
 	clear(acc)
 	prevRow := entries[0].Row
@@ -654,55 +655,109 @@ func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out *atomicfloat
 	out.AddRange(int(prevRow)*k, acc)
 }
 
-// BenchmarkKernelPanelMultiply measures Algorithm 2's row-panel multiply as
-// shipped: pre-resolved column table, pair-tiled Axpy2 accumulation into a
-// panel-local row, one atomic AddRange per output row. Steady state must not
-// allocate.
+// panelGather is a panel in the shipped sync-panel form, the executor's
+// plan-derived column table: row runs, and per entry its multiplier and the
+// slot of its dense row. The bench panel's columns index the table directly,
+// so a slot is the entry's column, and the multipliers sit 2 float64s apart
+// as they do in the plan's 16-byte entries.
+type panelGather struct {
+	vals  []float64
+	slots []int32
+	runs  []int // row-run starts, then len(entries)
+	rows  []int32
+}
+
+func newPanelGather(entries []sparse.NZ) panelGather {
+	g := panelGather{vals: make([]float64, 2*len(entries))}
+	for j, e := range entries {
+		if j == 0 || e.Row != entries[j-1].Row {
+			g.runs = append(g.runs, j)
+			g.rows = append(g.rows, e.Row)
+		}
+		g.vals[2*j] = e.Val
+		g.slots = append(g.slots, e.Col)
+	}
+	g.runs = append(g.runs, len(entries))
+	return g
+}
+
+// multiply is the shipped loop in its shared-row form: one AxpyGather per row
+// into the cleared panel-local row, flushed with one atomic AddRange.
+func (g *panelGather) multiply(table [][]float64, out *atomicfloat.Slice, acc []float64, k int) {
+	for i, row := range g.rows {
+		lo, hi := g.runs[i], g.runs[i+1]
+		clear(acc)
+		kernels.AxpyGather(acc, g.vals[2*lo:], 2, g.slots[lo:hi], table)
+		out.AddRange(int(row)*k, acc)
+	}
+}
+
+// benchPanelTable returns the bench panel's dense rows, one per column.
+func benchPanelTable(nCols, k int) [][]float64 {
+	bm := RandomDense(nCols, k, 4)
+	table := make([][]float64, nCols)
+	for c := range table {
+		table[c] = bm.Row(c)
+	}
+	return table
+}
+
+// BenchmarkKernelPanelMultiply measures Algorithm 2's row-panel multiply:
+// "gather" as shipped (plan-derived column table, one register-tiled
+// AxpyGather per output row) and "tiled" as before it (pair-tiled Axpy2
+// accumulation), both into a panel-local row with one atomic AddRange per
+// output row. Steady state must not allocate.
 func BenchmarkKernelPanelMultiply(b *testing.B) {
 	entries := benchPanel()
+	g := newPanelGather(entries)
 	const rows, nCols = 32, 128
 	for _, k := range benchKs {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			bm := RandomDense(nCols, k, 4)
-			table := make([][]float64, nCols)
-			for c := 0; c < nCols; c++ {
-				table[c] = bm.Row(c)
-			}
+		table := benchPanelTable(nCols, k)
+		run := func(b *testing.B, multiply func(out *atomicfloat.Slice, acc []float64)) {
 			out := atomicfloat.View(make([]float64, rows*k))
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
-				panelMultiplyTiled(entries, table, out, acc, k)
+				multiply(out, acc)
 			}
+		}
+		b.Run(fmt.Sprintf("K=%d/gather", k), func(b *testing.B) {
+			run(b, func(out *atomicfloat.Slice, acc []float64) { g.multiply(table, out, acc, k) })
+		})
+		b.Run(fmt.Sprintf("K=%d/tiled", k), func(b *testing.B) {
+			run(b, func(out *atomicfloat.Slice, acc []float64) { panelMultiplyTiled(entries, table, out, acc, k) })
 		})
 	}
 }
 
 // BenchmarkKernelPanelVariants decomposes the panel-multiply speedup into its
-// two ingredients: "generic" is one scalar Axpy per nonzero through the
-// pure-Go loops, "simd" is the same per-nonzero loop through the dispatched
-// kernel, and "tiled" adds the pair-wise Axpy2 register tiling on top (the
-// shipped formulation, identical to BenchmarkKernelPanelMultiply).
+// ingredients: "generic" is one scalar Axpy per nonzero through the pure-Go
+// loops, "simd" is the same per-nonzero loop through the dispatched kernel,
+// "tiled" adds the pair-wise Axpy2 register tiling on top (the formulation
+// before AxpyGather), and "gather" holds the output tile in registers across
+// the whole row (the shipped formulation, as in BenchmarkKernelPanelMultiply).
 func BenchmarkKernelPanelVariants(b *testing.B) {
 	entries := benchPanel()
+	g := newPanelGather(entries)
 	const rows, nCols = 32, 128
 	impls := kernels.Implementations()
 	generic := impls[0]
 	for _, k := range benchKs {
-		bm := RandomDense(nCols, k, 4)
-		table := make([][]float64, nCols)
-		for c := 0; c < nCols; c++ {
-			table[c] = bm.Row(c)
-		}
-		perNZ := func(b *testing.B, axpy func(float64, []float64, []float64)) {
+		table := benchPanelTable(nCols, k)
+		run := func(b *testing.B, multiply func(out *atomicfloat.Slice, acc []float64)) {
 			out := atomicfloat.View(make([]float64, rows*k))
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
+				multiply(out, acc)
+			}
+		}
+		perNZ := func(axpy func(float64, []float64, []float64)) func(out *atomicfloat.Slice, acc []float64) {
+			return func(out *atomicfloat.Slice, acc []float64) {
 				clear(acc)
 				prevRow := entries[0].Row
 				for _, e := range entries {
@@ -717,20 +772,16 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("K=%d/generic", k), func(b *testing.B) {
-			perNZ(b, generic.Axpy)
+			run(b, perNZ(generic.Axpy))
 		})
 		b.Run(fmt.Sprintf("K=%d/simd", k), func(b *testing.B) {
-			perNZ(b, kernels.Axpy)
+			run(b, perNZ(kernels.Axpy))
 		})
 		b.Run(fmt.Sprintf("K=%d/tiled", k), func(b *testing.B) {
-			out := atomicfloat.View(make([]float64, rows*k))
-			acc := make([]float64, k)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(entries) * k * 16))
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				panelMultiplyTiled(entries, table, out, acc, k)
-			}
+			run(b, func(out *atomicfloat.Slice, acc []float64) { panelMultiplyTiled(entries, table, out, acc, k) })
+		})
+		b.Run(fmt.Sprintf("K=%d/gather", k), func(b *testing.B) {
+			run(b, func(out *atomicfloat.Slice, acc []float64) { g.multiply(table, out, acc, k) })
 		})
 	}
 }

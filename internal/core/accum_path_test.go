@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
 	"twoface/internal/gen"
+	"twoface/internal/sparse"
 )
 
 // The stripe-local accumulation path must match the sequential reference on
@@ -287,9 +289,34 @@ func TestScratchVariantsMatch(t *testing.T) {
 	}
 }
 
-// A panel workspace's column table must serve repeats from the table and
-// reset across panels (epochs).
+// A panel's column table lists each distinct column once, in first-appearance
+// order, with every entry's slot pointing at its column; row runs split where
+// the row changes; a later panel starts a fresh list even for a column an
+// earlier one used; and the workspace resolves each listed column once.
 func TestPanelScratchResolvedTable(t *testing.T) {
+	np := &NodePart{Sync: SyncMatrix{
+		PanelPtr: []int64{0, 5, 5, 8},
+		Entries: []sparse.NZ{
+			{Row: 0, Col: 3}, {Row: 0, Col: 7}, {Row: 1, Col: 3}, {Row: 1, Col: 3}, {Row: 0, Col: 7},
+			{Row: 4, Col: 7}, {Row: 4, Col: 2}, {Row: 5, Col: 7},
+		},
+	}}
+	tab := buildPanelCols(np, 10)
+	wantCols := [][]int32{{3, 7}, {}, {7, 2}}
+	wantSlots := []int32{0, 1, 0, 0, 1, 0, 1, 0}
+	wantRuns := [][]int64{{0, 2, 4, 5}, {}, {5, 7, 8}}
+	for p := range wantCols {
+		if got := tab.cols[tab.colPtr[p]:tab.colPtr[p+1]]; !slices.Equal(got, wantCols[p]) {
+			t.Fatalf("panel %d columns %v, want %v", p, got, wantCols[p])
+		}
+		if got := tab.runs[tab.runPtr[p]:tab.runPtr[p+1]]; !slices.Equal(got, wantRuns[p]) {
+			t.Fatalf("panel %d runs %v, want %v", p, got, wantRuns[p])
+		}
+	}
+	if !slices.Equal(tab.slots, wantSlots) {
+		t.Fatalf("slots %v, want %v", tab.slots, wantSlots)
+	}
+
 	ws := panelScratchPool.Get().(*panelScratch)
 	defer panelScratchPool.Put(ws)
 	calls := 0
@@ -297,24 +324,14 @@ func TestPanelScratchResolvedTable(t *testing.T) {
 		calls++
 		return []float64{float64(col)}, nil
 	}
-	ws.begin(10, 1)
-	for _, c := range []int32{3, 7, 3, 3, 7} {
-		row, err := ws.resolved(c, resolve)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row[0] != float64(c) {
-			t.Fatalf("resolved(%d) = %v", c, row)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("resolver called %d times, want 2 (once per distinct column)", calls)
-	}
-	ws.begin(10, 1)
-	if _, err := ws.resolved(3, resolve); err != nil {
+	if err := ws.resolveCols(tab.cols[tab.colPtr[2]:tab.colPtr[3]], resolve, 1); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("new panel must re-resolve; calls = %d", calls)
+	if calls != 2 || ws.rows[0][0] != 7 || ws.rows[1][0] != 2 {
+		t.Fatalf("resolved %v in %d calls, want [[7] [2]] in 2", ws.rows, calls)
 	}
+	if err := ws.resolveCols([]int32{3}, resolve, 2); err == nil {
+		t.Fatal("a dense row shorter than K must be refused before the kernel reads it")
+	}
+	ws.release()
 }

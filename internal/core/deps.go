@@ -118,3 +118,69 @@ func buildSharedRows(np *NodePart) []bool {
 	}
 	return shared
 }
+
+// panelCols is the sync panel loop's column table, in CSR form per panel p:
+//   - cols[colPtr[p]:colPtr[p+1]] are the panel's distinct columns in
+//     first-appearance order;
+//   - slots[j] is sync entry j's index into its panel's cols run;
+//   - runs[runPtr[p]:runPtr[p+1]] are the entry indices where the panel's row
+//     runs (maximal runs of consecutive entries on one row) start, followed
+//     by the panel's end; an empty panel has none.
+//
+// The executor resolves each panel column to its dense row once per Exec and
+// hands every row run's slots to kernels.AxpyGather, so the per-nonzero work
+// is the multiply-add alone. Like deps it is a pure function of the plan,
+// built on first use and never serialized.
+type panelCols struct {
+	colPtr []int64
+	cols   []int32
+	slots  []int32
+	runPtr []int64
+	runs   []int64
+}
+
+// panelCols returns the node's cached column table, building it on first use.
+// Only a run that computes calls it, so timing-only runs never pay for it.
+// Safe for concurrent Exec calls on one Prep.
+func (np *NodePart) panelCols(layout *Layout) *panelCols {
+	np.colsOnce.Do(func() { np.colsCache = buildPanelCols(np, layout.NumCols) })
+	return &np.colsCache
+}
+
+func buildPanelCols(np *NodePart, numCols int32) panelCols {
+	s := &np.Sync
+	numPanels := s.NumPanels()
+	t := panelCols{
+		colPtr: make([]int64, numPanels+1),
+		slots:  make([]int32, len(s.Entries)),
+		runPtr: make([]int64, numPanels+1),
+	}
+	// pos[c] is column c's latest index in cols. Indices only grow, so c is
+	// already listed for the current panel exactly when pos[c] >= base: the
+	// position doubles as the epoch stamp and nothing is ever cleared.
+	pos := make([]int64, numCols)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for p := 0; p < numPanels; p++ {
+		lo, hi := s.PanelPtr[p], s.PanelPtr[p+1]
+		base := int64(len(t.cols))
+		for j := lo; j < hi; j++ {
+			e := s.Entries[j]
+			if j == lo || e.Row != s.Entries[j-1].Row {
+				t.runs = append(t.runs, j)
+			}
+			if pos[e.Col] < base {
+				pos[e.Col] = int64(len(t.cols))
+				t.cols = append(t.cols, e.Col)
+			}
+			t.slots[j] = int32(pos[e.Col] - base)
+		}
+		if hi > lo {
+			t.runs = append(t.runs, hi)
+		}
+		t.colPtr[p+1] = int64(len(t.cols))
+		t.runPtr[p+1] = int64(len(t.runs))
+	}
+	return t
+}

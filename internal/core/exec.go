@@ -7,12 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"twoface/internal/atomicfloat"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
 	"twoface/internal/kernels"
 	"twoface/internal/obs"
+	"twoface/internal/sparse"
 )
 
 // Executor metrics, registered on the default registry and inert until it is
@@ -600,73 +602,83 @@ func makeRowResolver(prep *Prep, b *dense.Matrix, rank int, recvBufs [][]float64
 // panel writes is summed straight into C; a row that async stripes also write
 // — and every row when out is a staged sink — is summed in a thread-local
 // buffer and flushed with one atomic pass. Each of the panel's distinct
-// columns is resolved to its dense B row once, into the workspace's flat
-// slice table; the per-nonzero loop is then a table lookup plus a shared AXPY
-// kernel, with no closure calls. It returns the panel's applied SyncComp
-// charge for the pipeline's overlap accounting.
+// columns is resolved to its dense B row once, into the workspace's row
+// table; then every row run is one kernels.AxpyGather call over the run's
+// entries and their plan-derived slots (see panelCols), which rounds exactly
+// like one Axpy per entry in entry order. It returns the panel's applied
+// SyncComp charge for the pipeline's overlap accounting.
 func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
 	params := prep.Params
 	net := r.Net()
 	k := params.K
-	panel := np.Sync.Entries[np.Sync.PanelPtr[n]:np.Sync.PanelPtr[n+1]]
-	if len(panel) == 0 {
+	nnz := np.Sync.PanelPtr[n+1] - np.Sync.PanelPtr[n]
+	if nnz == 0 {
 		return 0, nil
 	}
 	if !skipCompute {
-		ws.begin(int(prep.Layout.NumCols), k)
-		base := int(np.RowLo) * k
-		c := out.plain()
-		var shared []bool
-		if c != nil {
-			shared = np.sharedRows()
-		}
-		for i := 0; i < len(panel); {
-			row := panel[i].Row
-			off := base + int(row)*k
-			// C's row starts at +0 like the cleared buffer and takes the same
-			// kernel calls in the same order, and a sum that starts at +0 never
-			// becomes -0, so both destinations end up holding the same bits.
-			inPlace := c != nil && !shared[row]
-			acc := ws.acc
-			if inPlace {
-				acc = c[off : off+k]
-			} else {
-				clear(acc)
-			}
-			// Consecutive nonzeros of a row pair up through the dual-source tiled
-			// kernel, keeping the accumulator tile in registers across both
-			// multiply-adds; an unpaired leftover (odd count, or a gap forced by
-			// sampling) flushes through plain Axpy. Axpy2 rounds exactly like the
-			// two sequential Axpys it replaces, so the panel result is unchanged.
-			var pendVal float64
-			var pendRow []float64
-			for ; i < len(panel) && panel[i].Row == row; i++ {
-				e := panel[i]
-				if smp.masked(np.RowLo+e.Row, e.Col) {
-					continue
-				}
-				brow, err := ws.resolved(e.Col, resolve)
-				if err != nil {
-					return 0, err
-				}
-				if pendRow == nil {
-					pendVal, pendRow = e.Val, brow
-					continue
-				}
-				kernels.Axpy2(pendVal, pendRow, e.Val, brow, acc)
-				pendRow = nil
-			}
-			if pendRow != nil {
-				kernels.Axpy(pendVal, pendRow, acc)
-			}
-			if !inPlace {
-				out.AddRange(off, acc)
-			}
+		if err := multiplyPanel(prep.Layout, np, out, resolve, ws, n, k, smp); err != nil {
+			return 0, err
 		}
 	}
-	kept := float64(len(panel)) * smp.computeScale()
+	kept := float64(nnz) * smp.computeScale()
 	cost := r.ChargeOpTimed(cluster.SyncComp, "compute.sync.panel",
 		net.SyncComputeCost(int64(kept), k, params.ModelSyncThreads))
 	metricPanelSeconds.Observe(cost)
 	return cost, nil
+}
+
+// multiplyPanel is processSyncRowPanel's arithmetic.
+func multiplyPanel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, smp sampling) error {
+	t := np.panelCols(layout)
+	if err := ws.resolveCols(t.cols[t.colPtr[n]:t.colPtr[n+1]], resolve, k); err != nil {
+		return err
+	}
+	base := int(np.RowLo) * k
+	c := out.plain()
+	var shared []bool
+	if c != nil {
+		shared = np.sharedRows()
+	}
+	runs := t.runs[t.runPtr[n]:t.runPtr[n+1]]
+	for i := 0; i+1 < len(runs); i++ {
+		es := np.Sync.Entries[runs[i]:runs[i+1]]
+		slots := t.slots[runs[i]:runs[i+1]]
+		row := es[0].Row
+		off := base + int(row)*k
+		// C's row starts at +0 like the cleared buffer and takes the same
+		// terms in the same order, and a sum that starts at +0 never becomes
+		// -0, so both destinations end up holding the same bits.
+		inPlace := c != nil && !shared[row]
+		acc := ws.acc
+		if inPlace {
+			acc = c[off : off+k]
+		} else {
+			clear(acc)
+		}
+		vals, stride := entryVals(es), nzStride
+		if smp.active {
+			vals, slots = ws.sampled(es, slots, np.RowLo, smp)
+			stride = 1
+		}
+		kernels.AxpyGather(acc, vals, stride, slots, ws.rows)
+		if !inPlace {
+			out.AddRange(off, acc)
+		}
+	}
+	return nil
+}
+
+// nzStride is the distance, in float64s, between the Val fields of
+// consecutive sparse.NZ entries.
+const nzStride = int(unsafe.Sizeof(sparse.NZ{}) / unsafe.Sizeof(float64(0)))
+
+// entryVals, and the kernel reading through it, need Val at a whole number of
+// float64s from each entry's start: this fails to compile otherwise.
+var _ = [1]struct{}{}[unsafe.Sizeof(sparse.NZ{})%8+unsafe.Offsetof(sparse.NZ{}.Val)%8]
+
+// entryVals views the Val fields of a non-empty es in place as a strided
+// slice — element j·nzStride is es[j].Val — so the gather kernel reads the
+// plan's multipliers with no per-op copy.
+func entryVals(es []sparse.NZ) []float64 {
+	return unsafe.Slice(&es[0].Val, (len(es)-1)*nzStride+1)
 }

@@ -122,31 +122,28 @@ func TestPanelDepsCorrect(t *testing.T) {
 
 // TestPanelScratchRelease is the scratch-retention regression: a pooled
 // panelScratch must not keep dense-row slice headers (into receive arenas,
-// B, or cache entries) alive past its return to the pool. begin only
-// truncates the table, so without release the references survive in the
+// B, or cache entries) alive past its return to the pool. resolveCols only
+// truncates the row table, so without release the references survive in the
 // backing array.
 func TestPanelScratchRelease(t *testing.T) {
 	ws := &panelScratch{}
-	ws.begin(8, 4)
 	rows := [][]float64{make([]float64, 4), make([]float64, 4), make([]float64, 4)}
 	resolve := func(c int32) ([]float64, error) { return rows[c], nil }
-	for c := int32(0); c < 3; c++ {
-		if _, err := ws.resolved(c, resolve); err != nil {
-			t.Fatal(err)
-		}
+	if err := ws.resolveCols([]int32{0, 1, 2}, resolve, 4); err != nil {
+		t.Fatal(err)
 	}
-	if len(ws.table) != 3 {
-		t.Fatalf("table has %d entries, want 3", len(ws.table))
+	if len(ws.rows) != 3 {
+		t.Fatalf("table has %d entries, want 3", len(ws.rows))
 	}
 
 	ws.release()
-	if len(ws.table) != 0 {
-		t.Fatalf("release left %d live entries", len(ws.table))
+	if len(ws.rows) != 0 {
+		t.Fatalf("release left %d live entries", len(ws.rows))
 	}
-	if cap(ws.table) < 3 {
-		t.Fatalf("release dropped table capacity to %d", cap(ws.table))
+	if cap(ws.rows) < 3 {
+		t.Fatalf("release dropped table capacity to %d", cap(ws.rows))
 	}
-	for i, ref := range ws.table[:cap(ws.table)] {
+	for i, ref := range ws.rows[:cap(ws.rows)] {
 		if ref != nil {
 			t.Fatalf("table backing slot %d still references a dense row after release", i)
 		}
@@ -154,13 +151,11 @@ func TestPanelScratchRelease(t *testing.T) {
 
 	// The scratch must stay usable: a later panel on the same pooled object
 	// resolves fresh rows correctly.
-	ws.begin(8, 4)
-	got, err := ws.resolved(1, resolve)
-	if err != nil {
+	if err := ws.resolveCols([]int32{1}, resolve, 4); err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] != &rows[1][0] {
-		t.Fatal("resolved wrong row after release/begin cycle")
+	if &ws.rows[0][0] != &rows[1][0] {
+		t.Fatal("resolved wrong row after a release/resolve cycle")
 	}
 }
 

@@ -74,6 +74,12 @@ type NodePart struct {
 	// stripes also write (see sharedRows); same lifetime rules as deps.
 	sharedOnce  sync.Once
 	sharedCache []bool
+
+	// colsOnce/colsCache lazily hold the sync panels' column table (see
+	// panelCols); same lifetime rules as deps, but built only by a run that
+	// computes.
+	colsOnce  sync.Once
+	colsCache panelCols
 }
 
 // Prep is the full output of Two-Face preprocessing: everything each node

@@ -271,42 +271,22 @@ func TestRowReorderBitExact(t *testing.T) {
 	}
 
 	// Sequential, deterministic replay of the panel compute: one accumulator
-	// per row, consecutive same-row nonzeros paired through Axpy2, exactly
-	// like processSyncRowPanel.
+	// per row run, one Axpy per nonzero in entry order, which is how
+	// processSyncRowPanel's AxpyGather rounds.
 	rowSums := func(prep *Prep) map[int64][]float64 {
 		sums := make(map[int64][]float64)
 		for i := range prep.Nodes {
 			np := &prep.Nodes[i]
 			for p := 0; p < np.Sync.NumPanels(); p++ {
 				panel := np.Sync.Entries[np.Sync.PanelPtr[p]:np.Sync.PanelPtr[p+1]]
-				if len(panel) == 0 {
-					continue
-				}
-				acc := make([]float64, b.Cols)
-				prevRow := panel[0].Row
-				var pendVal float64
-				var pendRow []float64
-				flush := func(row int32) {
-					if pendRow != nil {
-						kernels.Axpy(pendVal, pendRow, acc)
-						pendRow = nil
+				var acc []float64
+				for j, e := range panel {
+					if j == 0 || e.Row != panel[j-1].Row {
+						acc = make([]float64, b.Cols)
+						sums[int64(i)<<32|int64(e.Row)] = acc
 					}
-					sums[int64(i)<<32|int64(row)] = acc
-					acc = make([]float64, b.Cols)
+					kernels.Axpy(e.Val, b.Row(int(e.Col)), acc)
 				}
-				for _, e := range panel {
-					if e.Row != prevRow {
-						flush(prevRow)
-						prevRow = e.Row
-					}
-					if pendRow == nil {
-						pendVal, pendRow = e.Val, b.Row(int(e.Col))
-						continue
-					}
-					kernels.Axpy2(pendVal, pendRow, e.Val, b.Row(int(e.Col)), acc)
-					pendRow = nil
-				}
-				flush(prevRow)
 			}
 		}
 		return sums

@@ -350,7 +350,8 @@ func ReadPrep(r io.Reader) (*Prep, error) {
 // file fails to load instead of panicking in Exec: each node's rows are its
 // layout row block; panel and stripe pointers have one more element than
 // there are panels or stripes, never decrease, and end at the entry count;
-// each sync entry lies in its panel's rows and inside the matrix's columns;
+// each sync entry lies in its panel's rows and inside the matrix's columns,
+// and reads a column of the rank's own block or of a stripe it receives;
 // each async entry lies in the node's rows and its stripe's columns, which
 // never decrease along the stripe (the one-sided fetch plan assumes it); and
 // stripe ids, received stripes and multicast destinations are in range and
@@ -368,6 +369,14 @@ func (p *Prep) validate() error {
 		if b := l.RowBlock(i); int(np.RowLo) != b.Lo || int(np.RowHi) != b.Hi {
 			return fmt.Errorf("rank %d holds rows [%d,%d), its block is [%d,%d)", i, np.RowLo, np.RowHi, b.Lo, b.Hi)
 		}
+		if err := checkIDs(np.RecvStripes, l.NumStripes()); err != nil {
+			return fmt.Errorf("rank %d received stripes: %w", i, err)
+		}
+		recv := make([]bool, l.NumStripes())
+		for _, sid := range np.RecvStripes {
+			recv[sid] = true
+		}
+		own := l.ColBlock(i)
 		rows := int64(np.RowHi - np.RowLo)
 		panels := max(1, (rows+h-1)/h)
 		if err := checkPtr(np.Sync.PanelPtr, panels, len(np.Sync.Entries)); err != nil {
@@ -378,6 +387,9 @@ func (p *Prep) validate() error {
 			for _, e := range np.Sync.Entries[np.Sync.PanelPtr[pi]:np.Sync.PanelPtr[pi+1]] {
 				if int64(e.Row) < lo || int64(e.Row) >= hi || e.Col < 0 || e.Col >= l.NumCols {
 					return fmt.Errorf("rank %d panel %d: entry (%d,%d) outside rows [%d,%d) x cols [0,%d)", i, pi, e.Row, e.Col, lo, hi, l.NumCols)
+				}
+				if !own.Contains(int(e.Col)) && !recv[l.StripeOfCol(e.Col)] {
+					return fmt.Errorf("rank %d panel %d: entry (%d,%d) reads dense stripe %d, which the rank never receives", i, pi, e.Row, e.Col, l.StripeOfCol(e.Col))
 				}
 			}
 		}
@@ -395,9 +407,6 @@ func (p *Prep) validate() error {
 				}
 				colLo = e.Col
 			}
-		}
-		if err := checkIDs(np.RecvStripes, l.NumStripes()); err != nil {
-			return fmt.Errorf("rank %d received stripes: %w", i, err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"twoface/internal/cluster"
@@ -208,6 +209,17 @@ func TestReadPrepRejectsBadIndices(t *testing.T) {
 			}
 		}},
 		{"row block moved", func(p *Prep) { np0(p).RowHi++ }},
+		{"sync col in a stripe never received", func(p *Prep) {
+			l, np := p.Layout, np0(p)
+			own := l.ColBlock(0)
+			for c := int32(0); c < l.NumCols; c++ {
+				if !own.Contains(int(c)) && !slices.Contains(np.RecvStripes, l.StripeOfCol(c)) {
+					np.Sync.Entries[0].Col = c
+					return
+				}
+			}
+			t.Fatal("fixture: every column reaches rank 0")
+		}},
 	}
 	for _, c := range cases {
 		prep := build()

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"twoface/internal/cluster"
 	"twoface/internal/kernels"
+	"twoface/internal/sparse"
 )
 
 // Per-worker scratch buffers for the executor's hot loops. Each worker
@@ -70,62 +72,60 @@ func (a *recvArena) grab(n int64) []float64 {
 
 // panelScratch backs processSyncRowPanel: the accumulator row for rows the
 // panel may not sum in C directly (async stripes share them, or the sink is
-// staged) and the pre-resolved column table. slot/stamp map a global column to its table
-// entry; stamps are epoch-guarded so starting a panel never clears them.
+// staged), the panel's dense rows indexed by the slots of its column table
+// (see panelCols), and a sampled row run's surviving multipliers and slots.
 type panelScratch struct {
 	acc   []float64
-	table [][]float64
-	slot  []int32
-	stamp []uint32
-	epoch uint32
+	rows  [][]float64
+	vals  []float64
+	slots []int32
 }
 
 var panelScratchPool = sync.Pool{New: func() any { return new(panelScratch) }}
 
-// begin sizes the scratch for a panel over numCols global columns with dense
-// width k and opens a fresh epoch.
-func (ws *panelScratch) begin(numCols, k int) {
+// resolveCols points rows[i] at the dense B row of cols[i], k elements each,
+// resolving every column through resolve once, and sizes the accumulator.
+func (ws *panelScratch) resolveCols(cols []int32, resolve rowResolver, k int) error {
 	if cap(ws.acc) < k {
 		ws.acc = make([]float64, k)
 	}
 	ws.acc = ws.acc[:k]
-	if len(ws.stamp) < numCols {
-		ws.slot = make([]int32, numCols)
-		ws.stamp = make([]uint32, numCols)
+	ws.rows = ws.rows[:0]
+	for _, c := range cols {
+		brow, err := resolve(c)
+		if err != nil {
+			return err
+		}
+		if len(brow) < k {
+			// AxpyGather's assembly reads k elements of every row unchecked.
+			return fmt.Errorf("core: dense row for column %d has %d elements, want %d", c, len(brow), k)
+		}
+		ws.rows = append(ws.rows, brow)
 	}
-	ws.epoch++
-	if ws.epoch == 0 {
-		clear(ws.stamp)
-		ws.epoch = 1
-	}
-	ws.table = ws.table[:0]
+	return nil
 }
 
 // release drops every row reference the table accumulated so the scratch can
 // sit in the pool without pinning foreign memory. The table's entries are
 // slice headers aliasing recv-arena buffers, rows of the dense input B, and
-// cross-run cache entries; begin only truncates (ws.table[:0]), which keeps
-// those pointers live in the backing array past Put — a pooled scratch would
-// otherwise retain an entire receive arena across runs. Capacity is kept;
-// only the references are cleared.
+// cross-run cache entries; resolveCols only truncates (ws.rows[:0]), which
+// keeps those pointers live in the backing array past Put — a pooled scratch
+// would otherwise retain an entire receive arena across runs. Capacity is
+// kept; only the references are cleared.
 func (ws *panelScratch) release() {
-	clear(ws.table[:cap(ws.table)])
-	ws.table = ws.table[:0]
+	clear(ws.rows[:cap(ws.rows)])
+	ws.rows = ws.rows[:0]
 }
 
-// resolved returns the dense B row for col, resolving each distinct column
-// once per panel through `resolve` and serving repeats from the flat table,
-// so the caller's innermost loop is closure-free.
-func (ws *panelScratch) resolved(col int32, resolve rowResolver) ([]float64, error) {
-	if ws.stamp[col] != ws.epoch {
-		brow, err := resolve(col)
-		if err != nil {
-			return nil, err
+// sampled filters a row run's entries and their slots through the sample
+// mask, in order, into the scratch's vals and slots.
+func (ws *panelScratch) sampled(es []sparse.NZ, slots []int32, rowLo int32, smp sampling) ([]float64, []int32) {
+	ws.vals, ws.slots = ws.vals[:0], ws.slots[:0]
+	for j, e := range es {
+		if !smp.masked(rowLo+e.Row, e.Col) {
+			ws.vals = append(ws.vals, e.Val)
+			ws.slots = append(ws.slots, slots[j])
 		}
-		ws.stamp[col] = ws.epoch
-		ws.slot[col] = int32(len(ws.table))
-		ws.table = append(ws.table, brow)
-		return brow, nil
 	}
-	return ws.table[ws.slot[col]], nil
+	return ws.vals, ws.slots
 }

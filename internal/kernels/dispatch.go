@@ -49,6 +49,34 @@ type impl struct {
 	dot      func(x, y []float64) float64
 	axpy2    func(a0 float64, x0 []float64, a1 float64, x1 []float64, y []float64)
 	axpyQuad func(x []float64, a0 float64, y0 []float64, a1 float64, y1 []float64, a2 float64, y2 []float64, a3 float64, y3 []float64)
+	// axpyGather is nil in sets without a gather body of their own; gather
+	// then falls back to gatherPairs.
+	axpyGather func(y, vals []float64, stride int, slots []int32, rows [][]float64)
+}
+
+// gather runs the set's AxpyGather body on a non-empty y and slots.
+func (t *impl) gather(y, vals []float64, stride int, slots []int32, rows [][]float64) {
+	if t.axpyGather == nil {
+		gatherPairs(t, y, vals, stride, slots, rows)
+		return
+	}
+	t.axpyGather(y, vals, stride, slots, rows)
+}
+
+// gatherPairs is AxpyGather for sets without a gather body: the terms go
+// through axpy2 two at a time and an odd last one through axpy, which round
+// like the chained calls. The generic and NEON sets use it — NEON has no
+// gather assembly, and the generic set's stores must stay Go code the race
+// detector sees.
+func gatherPairs(t *impl, y, vals []float64, stride int, slots []int32, rows [][]float64) {
+	n := len(y)
+	j := 0
+	for ; j+1 < len(slots); j += 2 {
+		t.axpy2(vals[j*stride], rows[slots[j]][:n], vals[(j+1)*stride], rows[slots[j+1]][:n], y)
+	}
+	if j < len(slots) {
+		t.axpy(vals[j*stride], rows[slots[j]][:n], y)
+	}
 }
 
 // active is the currently bound implementation set. It is read with one
@@ -132,15 +160,16 @@ func FMAAllowed() bool {
 // exactness tests. The function fields apply the same public length
 // contracts as the package-level kernels.
 type Impl struct {
-	Variant  Variant
-	Axpy     func(alpha float64, x, y []float64)
-	AxpyTo   func(dst []float64, alpha float64, x, y []float64)
-	ScaleTo  func(dst []float64, alpha float64, x []float64)
-	Add      func(dst, x []float64)
-	Scale    func(alpha float64, x []float64)
-	Dot      func(x, y []float64) float64
-	Axpy2    func(a0 float64, x0 []float64, a1 float64, x1 []float64, y []float64)
-	AxpyQuad func(x []float64, a0 float64, y0 []float64, a1 float64, y1 []float64, a2 float64, y2 []float64, a3 float64, y3 []float64)
+	Variant    Variant
+	Axpy       func(alpha float64, x, y []float64)
+	AxpyTo     func(dst []float64, alpha float64, x, y []float64)
+	ScaleTo    func(dst []float64, alpha float64, x []float64)
+	Add        func(dst, x []float64)
+	Scale      func(alpha float64, x []float64)
+	Dot        func(x, y []float64) float64
+	Axpy2      func(a0 float64, x0 []float64, a1 float64, x1 []float64, y []float64)
+	AxpyQuad   func(x []float64, a0 float64, y0 []float64, a1 float64, y1 []float64, a2 float64, y2 []float64, a3 float64, y3 []float64)
+	AxpyGather func(y, vals []float64, stride int, slots []int32, rows [][]float64)
 }
 
 // Implementations returns every implementation set available on this host,
@@ -199,6 +228,12 @@ func exportImpl(t *impl) Impl {
 		AxpyQuad: func(x []float64, a0 float64, y0 []float64, a1 float64, y1 []float64, a2 float64, y2 []float64, a3 float64, y3 []float64) {
 			if n := min(len(x), len(y0), len(y1), len(y2), len(y3)); n > 0 {
 				t.axpyQuad(x[:n], a0, y0[:n], a1, y1[:n], a2, y2[:n], a3, y3[:n])
+			}
+		},
+		AxpyGather: func(y, vals []float64, stride int, slots []int32, rows [][]float64) {
+			if m := len(slots); len(y) > 0 && m > 0 {
+				_ = vals[(m-1)*stride]
+				t.gather(y, vals, stride, slots, rows)
 			}
 		},
 	}

@@ -1,0 +1,130 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// gatherValue draws from a pool that mixes ordinary values with the inputs
+// whose rounding and propagation are easiest to get wrong: signed zeros,
+// infinities, NaNs with distinct payloads, and subnormals.
+func gatherValue(rng *rand.Rand) float64 {
+	switch rng.IntN(12) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return math.Float64frombits(0x7ff8000000000000 | rng.Uint64()&0xffff)
+	case 4:
+		return math.Float64frombits(0xfff8000000000000 | rng.Uint64()&0xffff)
+	case 5:
+		return math.Float64frombits(rng.Uint64() & 0x000fffffffffffff) // subnormal
+	case 6:
+		return -math.Float64frombits(rng.Uint64() & 0x000fffffffffffff)
+	}
+	return 2*rng.Float64() - 1
+}
+
+// Every implementation's AxpyGather must store exactly the bits of the same
+// implementation's Axpy chained over the terms in order — the FMA set
+// included, whose gather fuses each term as its Axpy does — over lengths that
+// hit every tile and tail, term counts on both sides of a pair, repeated
+// slots, strided multipliers, and non-finite and subnormal inputs.
+func TestAxpyGatherMatchesChainedAxpy(t *testing.T) {
+	ks := []int{1, 3, 4, 5, 31, 32, 33, 127, 128, 130, 512}
+	ms := []int{1, 2, 3, 65}
+	for _, v := range Implementations() {
+		t.Run(v.Variant.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(11, uint64(v.Variant)))
+			for _, k := range ks {
+				for _, m := range ms {
+					for _, special := range []bool{false, true} {
+						for _, stride := range []int{1, 2} {
+							draw := func() float64 {
+								if special && rng.IntN(4) == 0 {
+									return gatherValue(rng)
+								}
+								return 2*rng.Float64() - 1
+							}
+							// Fewer rows than terms, so slots repeat.
+							rows := make([][]float64, max(1, m/2))
+							for r := range rows {
+								rows[r] = make([]float64, k)
+								for i := range rows[r] {
+									rows[r][i] = draw()
+								}
+							}
+							slots := make([]int32, m)
+							vals := make([]float64, (m-1)*stride+1)
+							for j := range slots {
+								slots[j] = int32(rng.IntN(len(rows)))
+								vals[j*stride] = draw()
+							}
+							y := make([]float64, k)
+							for i := range y {
+								y[i] = draw()
+							}
+							want := append([]float64(nil), y...)
+							for j, s := range slots {
+								v.Axpy(vals[j*stride], rows[s], want)
+							}
+							v.AxpyGather(y, vals, stride, slots, rows)
+							for i := range want {
+								if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("k=%d m=%d stride=%d special=%v: y[%d] = %x, chained Axpy %x",
+										k, m, stride, special, i, math.Float64bits(y[i]), math.Float64bits(want[i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// The package-level AxpyGather answers through the active set, and a short
+// multiplier view panics instead of reading past it.
+func TestAxpyGatherDispatchAndBounds(t *testing.T) {
+	rows := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	y := []float64{1, 1, 1}
+	AxpyGather(y, []float64{2, 99, -1}, 2, []int32{1, 0}, rows)
+	for i, want := range []float64{1 + 8 - 1, 1 + 10 - 2, 1 + 12 - 3} {
+		if y[i] != want {
+			t.Fatalf("y[%d] = %v, want %v", i, y[i], want)
+		}
+	}
+	AxpyGather(nil, nil, 2, []int32{0}, rows) // empty y: no work, no check
+	AxpyGather(y, nil, 2, nil, rows)          // no terms
+	for _, v := range Implementations() {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: vals too short for the slots did not panic", v.Variant)
+				}
+			}()
+			v.AxpyGather(y, []float64{1, 2}, 2, []int32{0, 1}, rows)
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AxpyGather: vals too short for the slots did not panic")
+			}
+		}()
+		AxpyGather(y, []float64{1, 2}, 2, []int32{0, 1}, rows)
+	}()
+}
+
+func ExampleAxpyGather() {
+	rows := [][]float64{{1, 2}, {10, 20}}
+	y := []float64{0.5, 0.5}
+	AxpyGather(y, []float64{2, 3, 1}, 1, []int32{0, 1, 0}, rows)
+	fmt.Println(y)
+	// Output: [33.5 66.5]
+}

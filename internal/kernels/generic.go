@@ -116,13 +116,15 @@ func dotGeneric(x, y []float64) float64 {
 }
 
 // axpy2Generic chains the two multiply-adds per element exactly as two
-// sequential Axpy calls would round them.
+// sequential Axpy calls would round them. Each term is axpyGeneric's own
+// statement, so the compiler orders every add's operands as it does there
+// and the same NaN payload survives when two NaNs meet.
 func axpy2Generic(a0 float64, x0 []float64, a1 float64, x1 []float64, y []float64) {
 	n := len(y)
 	x0, x1, y = x0[:n:n], x1[:n:n], y[:n:n]
 	for i, v := range x0 {
-		t := y[i] + a0*v
-		y[i] = t + a1*x1[i]
+		y[i] += a0 * v
+		y[i] += a1 * x1[i]
 	}
 }
 

@@ -105,6 +105,31 @@ func Axpy2(a0 float64, x0 []float64, a1 float64, x1 []float64, y []float64) {
 	active.Load().axpy2(a0, x0[:n], a1, x1[:n], y[:n])
 }
 
+// AxpyGather computes, for every i < len(y),
+//
+//	y[i] += vals[0]·rows[slots[0]][i], then vals[stride]·rows[slots[1]][i], …
+//
+// one term per slot in slot order, each a multiply then an add (one fused
+// multiply-add under the FMA opt-in) — bit-identical to the chained calls
+// Axpy(vals[j·stride], rows[slots[j]], y) for j = 0…len(slots)−1. This is the
+// sync panel kernel: the amd64 bodies hold a 32-element tile of y in
+// registers across every term, so y is loaded and stored once per call
+// rather than once per term (Axpy) or per pair of terms (Axpy2). stride lets
+// vals view the multipliers inside larger records, read in place.
+//
+// Unlike the other kernels it does not truncate to a common length: every
+// rows[slots[j]] must hold at least len(y) elements and every slot must index
+// rows. The assembly bodies trust that (the others panic on a short row);
+// vals is checked.
+func AxpyGather(y []float64, vals []float64, stride int, slots []int32, rows [][]float64) {
+	m := len(slots)
+	if len(y) == 0 || m == 0 {
+		return
+	}
+	_ = vals[(m-1)*stride]
+	active.Load().gather(y, vals, stride, slots, rows)
+}
+
 // AxpyQuad computes yR[i] += aR*x[i] for each of the four destination rows
 // y0..y3, over the common length of all five slices — bit-identical to four
 // Axpy calls, but with each x K-tile loaded once and spread to all four

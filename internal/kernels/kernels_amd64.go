@@ -52,6 +52,12 @@ func axpyQuadAVX2(x *float64, a0 float64, y0 *float64, a1 float64, y1 *float64, 
 //go:noescape
 func axpyQuadFMA(x *float64, a0 float64, y0 *float64, a1 float64, y1 *float64, a2 float64, y2 *float64, a3 float64, y3 *float64, n int)
 
+//go:noescape
+func axpyGatherAVX2(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
+
+//go:noescape
+func axpyGatherFMA(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
+
 var avx2Impl = impl{
 	variant: VariantAVX2,
 	axpy: func(alpha float64, x, y []float64) {
@@ -78,6 +84,9 @@ var avx2Impl = impl{
 	axpyQuad: func(x []float64, a0 float64, y0 []float64, a1 float64, y1 []float64, a2 float64, y2 []float64, a3 float64, y3 []float64) {
 		axpyQuadAVX2(&x[0], a0, &y0[0], a1, &y1[0], a2, &y2[0], a3, &y3[0], len(x))
 	},
+	axpyGather: func(y, vals []float64, stride int, slots []int32, rows [][]float64) {
+		axpyGatherAVX2(&y[0], len(y), &vals[0], stride, &slots[0], len(slots), &rows[0])
+	},
 }
 
 var fmaImpl = impl{
@@ -99,5 +108,8 @@ var fmaImpl = impl{
 	},
 	axpyQuad: func(x []float64, a0 float64, y0 []float64, a1 float64, y1 []float64, a2 float64, y2 []float64, a3 float64, y3 []float64) {
 		axpyQuadFMA(&x[0], a0, &y0[0], a1, &y1[0], a2, &y2[0], a3, &y3[0], len(x))
+	},
+	axpyGather: func(y, vals []float64, stride int, slots []int32, rows [][]float64) {
+		axpyGatherFMA(&y[0], len(y), &vals[0], stride, &slots[0], len(slots), &rows[0])
 	},
 }

@@ -352,7 +352,8 @@ fdotdone:
 // The register-tiled dual-source kernel: the accumulator tile stays in
 // YMM registers across both multiply-adds, halving accumulator traffic
 // versus two Axpy passes while rounding identically (mul then add, source
-// 0 first).
+// 0 first). Each add takes the product as its first source, as axpyAVX2's
+// does, so the same NaN payload survives when two NaNs meet.
 TEXT ·axpy2AVX2(SB), NOSPLIT, $0-48
 	VBROADCASTSD a0+0(FP), Y14
 	MOVQ x0+8(FP), SI
@@ -371,14 +372,14 @@ a2loop8:
 	VMOVUPD 32(SI)(AX*8), Y4
 	VMULPD  Y14, Y3, Y3
 	VMULPD  Y14, Y4, Y4
-	VADDPD  Y3, Y1, Y1
-	VADDPD  Y4, Y2, Y2
+	VADDPD  Y1, Y3, Y1
+	VADDPD  Y2, Y4, Y2
 	VMOVUPD (DX)(AX*8), Y3
 	VMOVUPD 32(DX)(AX*8), Y4
 	VMULPD  Y15, Y3, Y3
 	VMULPD  Y15, Y4, Y4
-	VADDPD  Y3, Y1, Y1
-	VADDPD  Y4, Y2, Y2
+	VADDPD  Y1, Y3, Y1
+	VADDPD  Y2, Y4, Y2
 	VMOVUPD Y1, (DI)(AX*8)
 	VMOVUPD Y2, 32(DI)(AX*8)
 	ADDQ $8, AX
@@ -391,10 +392,10 @@ a2loop4:
 	VMOVUPD (DI)(AX*8), Y1
 	VMOVUPD (SI)(AX*8), Y3
 	VMULPD  Y14, Y3, Y3
-	VADDPD  Y3, Y1, Y1
+	VADDPD  Y1, Y3, Y1
 	VMOVUPD (DX)(AX*8), Y3
 	VMULPD  Y15, Y3, Y3
-	VADDPD  Y3, Y1, Y1
+	VADDPD  Y1, Y3, Y1
 	VMOVUPD Y1, (DI)(AX*8)
 	ADDQ $4, AX
 	SUBQ $4, CX
@@ -405,10 +406,10 @@ a2loop1:
 	VMOVSD (DI)(AX*8), X1
 	VMOVSD (SI)(AX*8), X3
 	VMULSD X14, X3, X3
-	VADDSD X3, X1, X1
+	VADDSD X1, X3, X1
 	VMOVSD (DX)(AX*8), X3
 	VMULSD X15, X3, X3
-	VADDSD X3, X1, X1
+	VADDSD X1, X3, X1
 	VMOVSD X1, (DI)(AX*8)
 	INCQ AX
 	DECQ CX
@@ -585,5 +586,304 @@ fquad1:
 	JMP  fquad1
 
 fquaddone:
+	VZEROUPPER
+	RET
+
+// The gather kernels (AxpyGather): y[i] += vals[j*stride] * rows[slots[j]][i]
+// for j = 0..m-1 in order. A tile of y — 32 elements in Y0-Y7, then one
+// 16-, 8- and 4-element tile and a scalar tail — stays in registers while
+// every term is added into it, so y moves once per call. Each term repeats
+// Axpy's instruction forms (operand order included, which fixes which NaN
+// payload survives), so a call equals m chained Axpy calls bit for bit.
+//
+// Registers: DI walks y, CX counts the elements left, AX is the tile's byte
+// offset into every source row, SI/R12 are vals and its byte stride, BX the
+// slots, DX the term count m >= 1, R8 the rows' slice headers (24 bytes
+// each). A term loop walks R9 (multiplier), R10 (slot) and R11 (terms
+// left); R13 is the term's source row at the tile, Y15 its multiplier.
+
+// TERMS_BEGIN rewinds the term walk for a new tile.
+#define TERMS_BEGIN \
+	MOVQ SI, R9; \
+	MOVQ BX, R10; \
+	MOVQ DX, R11
+
+// TERM_LOAD broadcasts term j's multiplier and points R13 at its source row's
+// tile: R13 = rows[slots[j]].ptr + AX.
+#define TERM_LOAD \
+	VBROADCASTSD (R9), Y15; \
+	MOVLQSX (R10), R13; \
+	LEAQ (R13)(R13*2), R13; \
+	MOVQ (R8)(R13*8), R13; \
+	ADDQ AX, R13
+
+// TERMS_NEXT steps to the next term and loops to label while terms remain.
+#define TERMS_NEXT(label) \
+	ADDQ R12, R9; \
+	ADDQ $4, R10; \
+	DECQ R11; \
+	JNZ  label
+
+// MULADD is axpyAVX2's element step on one 4-wide vector: acc = x*alpha + acc.
+#define MULADD(off, acc) \
+	VMOVUPD off(R13), Y8; \
+	VMULPD  Y15, Y8, Y8; \
+	VADDPD  acc, Y8, acc
+
+// FMULADD is axpyFMA's: acc = alpha*x + acc, rounded once.
+#define FMULADD(off, acc) \
+	VFMADD231PD off(R13), Y15, acc
+
+// func axpyGatherAVX2(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
+TEXT ·axpyGatherAVX2(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ vals+16(FP), SI
+	MOVQ stride+24(FP), R12
+	SHLQ $3, R12
+	MOVQ slots+32(FP), BX
+	MOVQ m+40(FP), DX
+	MOVQ rows+48(FP), R8
+	XORQ AX, AX
+
+g32:
+	CMPQ CX, $32
+	JLT  g16
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	TERMS_BEGIN
+
+g32term:
+	TERM_LOAD
+	MULADD(0, Y0)
+	MULADD(32, Y1)
+	MULADD(64, Y2)
+	MULADD(96, Y3)
+	MULADD(128, Y4)
+	MULADD(160, Y5)
+	MULADD(192, Y6)
+	MULADD(224, Y7)
+	TERMS_NEXT(g32term)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, AX
+	SUBQ $32, CX
+	JMP  g32
+
+g16:
+	CMPQ CX, $16
+	JLT  g8
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	TERMS_BEGIN
+
+g16term:
+	TERM_LOAD
+	MULADD(0, Y0)
+	MULADD(32, Y1)
+	MULADD(64, Y2)
+	MULADD(96, Y3)
+	TERMS_NEXT(g16term)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, AX
+	SUBQ $16, CX
+
+g8:
+	CMPQ CX, $8
+	JLT  g4
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	TERMS_BEGIN
+
+g8term:
+	TERM_LOAD
+	MULADD(0, Y0)
+	MULADD(32, Y1)
+	TERMS_NEXT(g8term)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, AX
+	SUBQ $8, CX
+
+g4:
+	CMPQ CX, $4
+	JLT  g1
+	VMOVUPD 0(DI), Y0
+	TERMS_BEGIN
+
+g4term:
+	TERM_LOAD
+	MULADD(0, Y0)
+	TERMS_NEXT(g4term)
+	VMOVUPD Y0, 0(DI)
+	ADDQ $32, DI
+	ADDQ $32, AX
+	SUBQ $4, CX
+
+g1:
+	TESTQ CX, CX
+	JEQ   gdone
+	VMOVSD (DI), X0
+	TERMS_BEGIN
+
+g1term:
+	TERM_LOAD
+	VMOVSD (R13), X8
+	VMULSD X15, X8, X8
+	VADDSD X0, X8, X0
+	TERMS_NEXT(g1term)
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, AX
+	DECQ CX
+	JMP  g1
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func axpyGatherFMA(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
+TEXT ·axpyGatherFMA(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ vals+16(FP), SI
+	MOVQ stride+24(FP), R12
+	SHLQ $3, R12
+	MOVQ slots+32(FP), BX
+	MOVQ m+40(FP), DX
+	MOVQ rows+48(FP), R8
+	XORQ AX, AX
+
+fg32:
+	CMPQ CX, $32
+	JLT  fg16
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	TERMS_BEGIN
+
+fg32term:
+	TERM_LOAD
+	FMULADD(0, Y0)
+	FMULADD(32, Y1)
+	FMULADD(64, Y2)
+	FMULADD(96, Y3)
+	FMULADD(128, Y4)
+	FMULADD(160, Y5)
+	FMULADD(192, Y6)
+	FMULADD(224, Y7)
+	TERMS_NEXT(fg32term)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, AX
+	SUBQ $32, CX
+	JMP  fg32
+
+fg16:
+	CMPQ CX, $16
+	JLT  fg8
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	TERMS_BEGIN
+
+fg16term:
+	TERM_LOAD
+	FMULADD(0, Y0)
+	FMULADD(32, Y1)
+	FMULADD(64, Y2)
+	FMULADD(96, Y3)
+	TERMS_NEXT(fg16term)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, AX
+	SUBQ $16, CX
+
+fg8:
+	CMPQ CX, $8
+	JLT  fg4
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	TERMS_BEGIN
+
+fg8term:
+	TERM_LOAD
+	FMULADD(0, Y0)
+	FMULADD(32, Y1)
+	TERMS_NEXT(fg8term)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, AX
+	SUBQ $8, CX
+
+fg4:
+	CMPQ CX, $4
+	JLT  fg1
+	VMOVUPD 0(DI), Y0
+	TERMS_BEGIN
+
+fg4term:
+	TERM_LOAD
+	FMULADD(0, Y0)
+	TERMS_NEXT(fg4term)
+	VMOVUPD Y0, 0(DI)
+	ADDQ $32, DI
+	ADDQ $32, AX
+	SUBQ $4, CX
+
+fg1:
+	TESTQ CX, CX
+	JEQ   fgdone
+	VMOVSD (DI), X0
+	TERMS_BEGIN
+
+fg1term:
+	TERM_LOAD
+	VFMADD231SD (R13), X15, X0
+	TERMS_NEXT(fg1term)
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, AX
+	DECQ CX
+	JMP  fg1
+
+fgdone:
 	VZEROUPPER
 	RET

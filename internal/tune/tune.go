@@ -43,14 +43,14 @@ func (c Choice) String() string {
 		c.W, c.MaxCoalesceGap, c.RowPanelHeight, c.ModelAsyncCompThreads, c.Modeled)
 }
 
-// defaultSpace derives a grid around the Table 1/Table 2 defaults.
+// defaultSpace derives a grid around the Table 1/Table 2 defaults. The
+// widths are the one the library picks when none is given, core.AutoWidth,
+// and its power-of-two neighbours, so the default is always among the
+// candidates.
 func defaultSpace(cols int32, k int, s Space) Space {
 	if len(s.Widths) == 0 {
-		base := cols / 512
-		if base < 8 {
-			base = 8
-		}
-		s.Widths = []int32{maxI32(base/2, 4), base, base * 2}
+		w := core.AutoWidth(cols)
+		s.Widths = []int32{w / 2, w, w * 2}
 	}
 	if len(s.CoalesceGaps) == 0 {
 		def := int32(127/k) + 1
@@ -112,13 +112,6 @@ func Tune(a *sparse.COO, k, p int, net cluster.NetModel, space Space) (Choice, [
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Modeled < all[j].Modeled })
 	return all[0], all, nil
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func maxI(a, b int) int {

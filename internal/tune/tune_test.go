@@ -2,9 +2,11 @@ package tune
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"twoface/internal/cluster"
+	"twoface/internal/core"
 	"twoface/internal/gen"
 	"twoface/internal/sparse"
 )
@@ -78,6 +80,22 @@ func TestTunePicksReasonableWidth(t *testing.T) {
 	for _, c := range all {
 		if best.Modeled > c.Modeled {
 			t.Fatal("best is not minimal")
+		}
+	}
+}
+
+// The default grid must contain the width the library ships: the one
+// core.AutoWidth picks when Options leave it unset, at full scale and at a
+// small one, for every registry matrix.
+func TestDefaultSpaceHasLibraryWidth(t *testing.T) {
+	for _, spec := range gen.Specs() {
+		for _, scale := range []float64{1, 0.02} {
+			cols := spec.ScaledRows(scale)
+			w := core.AutoWidth(cols)
+			if !slices.Contains(defaultSpace(cols, 32, Space{}).Widths, w) {
+				t.Errorf("%s at scale %v: default widths %v miss the library's %d",
+					spec.Short, scale, defaultSpace(cols, 32, Space{}).Widths, w)
+			}
 		}
 	}
 }

@@ -23,6 +23,11 @@ go build ./...
 echo "== GOOS=linux GOARCH=arm64 go build ./... (NEON kernel cross-compile)"
 GOOS=linux GOARCH=arm64 go build ./...
 
+echo "== GOOS=linux GOARCH=riscv64 go build ./... (no-SIMD dispatch compiles)"
+# No assembly kernels on riscv64: every kernel binds the generic set, and
+# AxpyGather falls back to its Axpy2-pairs loop.
+GOOS=linux GOARCH=riscv64 go build ./...
+
 echo "== GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp (big-endian refusal compiles)"
 # The TCP backend sends float64s from memory, so tcp.New refuses a big-endian
 # host instead of keeping a converting codec; this keeps that refusal (and
@@ -41,7 +46,7 @@ echo "== single-writer rows vs shared rows, and the pinned-worker ledger (-race 
 # is the one in which the race detector can see the in-place stores.
 for generic in "" 1; do
     TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
-        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical)$' ./internal/core
+        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical|TestSyncRowsMatchChainedAxpy)$' ./internal/core
     TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
         -run '^TestInstrumentationOffBitIdentical$' .
 done
