@@ -99,9 +99,9 @@ type Options struct {
 	// Recover switches crashed ranks from fail-clean (abort the run) to
 	// fail-recover: a crash becomes a membership transition, the survivors
 	// fence at the next barrier and re-execute the dead rank's unfinished
-	// work from its last virtual-time checkpoint, and Multiply still
-	// completes with the full C (see DESIGN.md section 12). Only the
-	// Two-Face executor recovers; baselines and SDDMM stay fail-clean.
+	// work from its last virtual-time checkpoint, and Multiply and SDDMM
+	// still complete with the full C (see DESIGN.md section 12). Only the
+	// Two-Face executor recovers; the baselines stay fail-clean.
 	Recover bool
 	// CheckpointInterval is the virtual-time cadence (seconds) at which each
 	// rank checkpoints its C panel and progress cursor when Recover is set.

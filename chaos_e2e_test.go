@@ -501,3 +501,108 @@ func TestChaosRecoveryAllCrashAborts(t *testing.T) {
 		t.Errorf("all-rank crash: %v, want ErrCrashed", err)
 	}
 }
+
+// --- SDDMM on the shared executor ---
+
+// chaosSDDMM runs one SDDMM of the chaos workload's structure on a fresh
+// system built from opts, returning the result and the fault-free twin's.
+func chaosSDDMM(t *testing.T, opts Options) (res, clean *SDDMMResult, err error) {
+	t.Helper()
+	a, y := chaosWorkload(t)
+	x := RandomDense(int(a.NumRows), y.Cols, 2)
+	healthy := opts
+	healthy.Chaos, healthy.Recover = nil, false
+	if clean, err = freshPlan(t, a, y.Cols, healthy).SDDMM(x, y); err != nil {
+		t.Fatalf("fault-free SDDMM: %v", err)
+	}
+	res, err = freshPlan(t, a, y.Cols, opts).SDDMM(x, y)
+	return res, clean, err
+}
+
+// freshPlan preprocesses a on a new chaosNodes-rank system built from opts.
+func freshPlan(t *testing.T, a *SparseMatrix, k int, opts Options) *Plan {
+	t.Helper()
+	opts.Nodes, opts.DenseColumns = chaosNodes, k
+	sys, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := sys.Preprocess(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// sparseEqual reports the first entry where x and y differ in coordinates or
+// value; with bits set, values must match bit for bit.
+func sparseEqual(x, y *SparseMatrix, bits bool) error {
+	if len(x.Entries) != len(y.Entries) {
+		return fmt.Errorf("%d entries vs %d", len(x.Entries), len(y.Entries))
+	}
+	for i, e := range x.Entries {
+		f := y.Entries[i]
+		same := e.Val == f.Val
+		if bits {
+			same = math.Float64bits(e.Val) == math.Float64bits(f.Val)
+		}
+		if e.Row != f.Row || e.Col != f.Col || !same {
+			return fmt.Errorf("entry %d: (%d,%d)=%v vs (%d,%d)=%v", i, e.Row, e.Col, e.Val, f.Row, f.Col, f.Val)
+		}
+	}
+	return nil
+}
+
+// TestChaosSDDMMSurvivableBitExact: SDDMM runs the SpMM executor's unit
+// loop, so survivable faults are absorbed by the same retry and degradation
+// path, and each value — computed once, by one writer — comes out
+// bit-identical to the fault-free run.
+func TestChaosSDDMMSurvivableBitExact(t *testing.T) {
+	for _, workers := range [][2]int{{1, 1}, {0, 0}} {
+		for _, seed := range []uint64{3, 11, 27} {
+			res, clean, err := chaosSDDMM(t, Options{Workers: workers[0], AsyncWorkers: workers[1],
+				Chaos: RandomFaultPlan(seed, chaosNodes)})
+			if err != nil {
+				t.Errorf("seed %d, workers %v: SDDMM under survivable faults: %v", seed, workers, err)
+				continue
+			}
+			if err := sparseEqual(res.C, clean.C, true); err != nil {
+				t.Errorf("seed %d, workers %v: differs from the fault-free run: %v", seed, workers, err)
+			}
+		}
+	}
+}
+
+// TestChaosSDDMMRecovers: with Recover set, a crashed rank's SDDMM units are
+// re-executed by the survivors exactly as Multiply's are — the same ledger,
+// rank by rank — and C equals the fault-free run. (A value staged through
+// the recovery flush is added onto +0, so a -0 product comes back as +0; the
+// comparison is by value.)
+func TestChaosSDDMMRecovers(t *testing.T) {
+	var recovery float64
+	for _, seed := range []uint64{3, 7, 11} {
+		opts := Options{Workers: 1, AsyncWorkers: 1, Chaos: RandomFaultPlanWithCrash(seed, chaosNodes), Recover: true}
+		res, clean, err := chaosSDDMM(t, opts)
+		if err != nil {
+			t.Errorf("seed %d: recovery-enabled SDDMM must complete: %v", seed, err)
+			continue
+		}
+		if err := sparseEqual(res.C, clean.C, false); err != nil {
+			t.Errorf("seed %d: recovered C differs from the fault-free run: %v", seed, err)
+		}
+		a, y := chaosWorkload(t)
+		mul, err := freshPlan(t, a, y.Cols, opts).Multiply(y)
+		if err != nil {
+			t.Fatalf("seed %d: recovery-enabled Multiply: %v", seed, err)
+		}
+		if !reflect.DeepEqual(res.Breakdowns, mul.Breakdowns) {
+			t.Errorf("seed %d: SDDMM ledger %+v, Multiply's %+v", seed, res.Breakdowns, mul.Breakdowns)
+		}
+		for _, bd := range res.Breakdowns {
+			recovery += bd.Recovery
+		}
+	}
+	if recovery <= 0 {
+		t.Error("no seed re-executed a dead rank's work; the crash plans are vacuous")
+	}
+}

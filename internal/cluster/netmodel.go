@@ -245,8 +245,8 @@ type Breakdown struct {
 	// none of the category totals above; the overlap credit is what turns
 	// the serial sum SyncComm + SyncComp into the pipelined sync-half
 	// makespan, so zeroing it recovers the serial accounting of the same
-	// run. It never exceeds min(SyncComm, SyncComp) and is zero for the
-	// SDDMM executor and for every baseline, which do not pipeline.
+	// run. It never exceeds min(SyncComm, SyncComp) and is zero for every
+	// baseline, since none of them pipeline.
 	SyncOverlap float64
 	// Checkpoint is virtual time spent writing crash-recovery checkpoints
 	// of the rank's C accumulator state to node-local storage. Serial with

@@ -171,7 +171,7 @@ func replayUnits(t *testing.T, prep *Prep, b *dense.Matrix, staged bool) *dense.
 	}
 	k := prep.Params.K
 	c := dense.New(int(prep.Layout.NumRows), k)
-	out := newLiveOutput(c)
+	out := newLiveOutput(c.Data)
 	err = clu.Run(func(r *cluster.Rank) error {
 		np := &prep.Nodes[r.ID]
 		if err := beginNode(prep, b, r, np); err != nil {
@@ -186,8 +186,9 @@ func replayUnits(t *testing.T, prep *Prep, b *dense.Matrix, staged bool) *dense.
 		if staged {
 			sink = stage
 		}
-		ur := newUnitRunner(prep, b, r, np, ExecOptions{})
-		ur.resolver = makeRowResolver(prep, b, r.ID, recvBufs, k)
+		ur := newUnitRunner(prep, r, np, spmmKernel{}, ExecOptions{})
+		own := prep.Layout.ColBlock(r.ID)
+		ur.resolver = makeRowResolver(prep.Layout, r.ID, b.RowRange(own.Lo, own.Hi), recvBufs, k)
 		for u := 0; u < ur.units(); u++ {
 			if err := ur.run(u, sink); err != nil {
 				return err
@@ -260,7 +261,7 @@ func TestStripeFlushSharedOutputRace(t *testing.T) {
 	}
 }
 
-// The pooled-scratch wrappers must agree with the allocating variants.
+// Coalescing into reused scratch must agree with coalescing into fresh slices.
 func TestScratchVariantsMatch(t *testing.T) {
 	entries := randomCOO(50, 40, 300, 5).Entries
 	// Column-major order, as async stripes store entries.
@@ -272,7 +273,7 @@ func TestScratchVariantsMatch(t *testing.T) {
 	}
 	want := uniqueCols(entries)
 
-	wantReg, wantBuf, wantFetched := coalesceRegions(want, 2, 0, 4)
+	wantReg, wantBuf, wantFetched := coalesceRegionsInto(nil, nil, want, 2, 0, 4)
 	gotReg, gotBuf, gotFetched := coalesceRegionsInto(make([]cluster.Region, 0, 1), make([]int32, 1), want, 2, 0, 4)
 	if gotFetched != wantFetched || len(gotReg) != len(wantReg) || len(gotBuf) != len(wantBuf) {
 		t.Fatalf("coalesceRegionsInto shape mismatch")

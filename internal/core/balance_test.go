@@ -167,7 +167,7 @@ func TestBalancedSDDMMCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := a.SDDMM(x, y)
-	sddmmEqual(t, res.C, want, 1e-9)
+	sddmmEqual(t, res.C, want)
 }
 
 func TestBalancedImprovesSkewedMakespan(t *testing.T) {

@@ -8,6 +8,21 @@ import (
 	"twoface/internal/sparse"
 )
 
+// uniqueCols returns the distinct column indices of a column-major-sorted
+// entry slice, ascending: the dense B rows an async stripe must fetch.
+func uniqueCols(entries []sparse.NZ) []int32 {
+	if len(entries) == 0 {
+		return nil
+	}
+	cols := []int32{entries[0].Col}
+	for _, e := range entries[1:] {
+		if e.Col != cols[len(cols)-1] {
+			cols = append(cols, e.Col)
+		}
+	}
+	return cols
+}
+
 func TestUniqueCols(t *testing.T) {
 	entries := []sparse.NZ{{Col: 3}, {Col: 3}, {Col: 5}, {Col: 5}, {Col: 5}, {Col: 9}}
 	got := uniqueCols(entries)
@@ -31,7 +46,7 @@ func TestCoalescePaperExample(t *testing.T) {
 	cols := []int32{2, 3, 6, 8}
 	const k = 4
 
-	regions, bufRow, fetched := coalesceRegions(cols, 1, 0, k)
+	regions, bufRow, fetched := coalesceRegionsInto(nil, nil, cols, 1, 0, k)
 	if len(regions) != 3 || fetched != 4 {
 		t.Fatalf("adjacent: %d regions, %d rows; want 3 regions, 4 rows", len(regions), fetched)
 	}
@@ -49,7 +64,7 @@ func TestCoalescePaperExample(t *testing.T) {
 		}
 	}
 
-	regions, bufRow, fetched = coalesceRegions(cols, 2, 0, k)
+	regions, bufRow, fetched = coalesceRegionsInto(nil, nil, cols, 2, 0, k)
 	if len(regions) != 2 || fetched != 5 {
 		t.Fatalf("gap-2: %d regions, %d rows; want 2 regions, 5 rows (incl. useless row 7)", len(regions), fetched)
 	}
@@ -63,17 +78,17 @@ func TestCoalescePaperExample(t *testing.T) {
 }
 
 func TestCoalesceOwnerOffset(t *testing.T) {
-	regions, _, _ := coalesceRegions([]int32{100, 101}, 1, 96, 8)
+	regions, _, _ := coalesceRegionsInto(nil, nil, []int32{100, 101}, 1, 96, 8)
 	if len(regions) != 1 || regions[0].Off != 4*8 || regions[0].Elems != 2*8 {
 		t.Fatalf("owner-relative region = %+v", regions)
 	}
 }
 
 func TestCoalesceEmptyAndSingle(t *testing.T) {
-	if r, _, n := coalesceRegions(nil, 1, 0, 4); r != nil || n != 0 {
+	if r, _, n := coalesceRegionsInto(nil, nil, nil, 1, 0, 4); r != nil || n != 0 {
 		t.Fatal("empty cols should produce nothing")
 	}
-	r, buf, n := coalesceRegions([]int32{7}, 1, 0, 4)
+	r, buf, n := coalesceRegionsInto(nil, nil, []int32{7}, 1, 0, 4)
 	if len(r) != 1 || n != 1 || buf[0] != 0 {
 		t.Fatalf("single col: %+v %v %d", r, buf, n)
 	}
@@ -93,7 +108,7 @@ func TestCoalesceProperty(t *testing.T) {
 			cols = append(cols, c)
 			c += 1 + int32(rng.IntN(10))
 		}
-		regions, bufRow, fetched := coalesceRegions(cols, gap, 0, k)
+		regions, bufRow, fetched := coalesceRegionsInto(nil, nil, cols, gap, 0, k)
 		var sum int64
 		for _, r := range regions {
 			if r.Elems%k != 0 || r.Off%k != 0 {

@@ -201,8 +201,8 @@ type liveOutput struct {
 	c                  []float64 // the returned matrix's storage
 }
 
-func newLiveOutput(c *dense.Matrix) *liveOutput {
-	return &liveOutput{Slice: atomicfloat.View(c.Data), c: c.Data}
+func newLiveOutput(c []float64) *liveOutput {
+	return &liveOutput{Slice: atomicfloat.View(c), c: c}
 }
 
 func (o *liveOutput) plain() []float64 { return o.c }
@@ -216,30 +216,39 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 	if b.Rows != int(prep.Layout.NumCols) || b.Cols != params.K {
 		return nil, fmt.Errorf("core: B is %dx%d, want %dx%d", b.Rows, b.Cols, prep.Layout.NumCols, params.K)
 	}
-	if clu.P() != params.P {
-		return nil, fmt.Errorf("core: cluster has %d nodes, prep expects %d", clu.P(), params.P)
+	c := dense.New(int(prep.Layout.NumRows), params.K)
+	res, err := runUnits(prep, b, clu, opts, c.Data, spmmKernel{})
+	if err != nil {
+		return nil, err
+	}
+	res.C = c
+	return res, nil
+}
+
+// runUnits is Algorithm 1 on every rank with kn's per-unit arithmetic,
+// writing into c. b is the dense input in B's role: the operand whose rows
+// move collectively and one-sidedly. The returned Result has no C.
+func runUnits(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions, c []float64, kn unitKernel) (*Result, error) {
+	if clu.P() != prep.Params.P {
+		return nil, fmt.Errorf("core: cluster has %d nodes, prep expects %d", clu.P(), prep.Params.P)
 	}
 	opts = opts.normalize()
 	clu.Reset()
 
-	c := dense.New(int(prep.Layout.NumRows), params.K)
 	out := newLiveOutput(c)
 	caches := prep.attachRowCaches(b)
 	rec := &recoveryCoordinator{}
 	start := time.Now()
 	runErr := clu.Run(func(r *cluster.Rank) error {
-		return execNode(prep, b, r, out, opts, caches, rec)
+		return execNode(prep, b, r, out, kn, opts, caches, rec)
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	wall := time.Since(start)
-
 	res := &Result{
-		C:              c,
 		Breakdowns:     clu.Breakdowns(),
 		ModeledSeconds: clu.TotalTime(),
-		Wall:           wall,
+		Wall:           time.Since(start),
 		Measured:       clu.WallClock(),
 	}
 	for _, rc := range caches {
@@ -279,9 +288,9 @@ func beginNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart) error
 // execNode is Algorithm 1 for one node. A rank whose fault plan dooms it to
 // crash runs the serialized checkpointing variant instead, so the set of
 // units its last checkpoint covers is deterministic (see execNodeDoomed).
-func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
+func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, kn unitKernel, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
 	if r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
-		return execNodeDoomed(prep, b, r, out, opts, rec)
+		return execNodeDoomed(prep, b, r, out, kn, opts, rec)
 	}
 	layout, params := prep.Layout, prep.Params
 	np := &prep.Nodes[r.ID]
@@ -334,7 +343,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 				if obs.Default.Enabled() {
 					metricQueueDepth.Observe(float64(nWork - n))
 				}
-				if err := processAsyncBatch(prep, b, r, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling()); err != nil {
+				if err := processAsyncBatch(prep, r, np, out, kn, ws, batches[n], cache, opts.SkipCompute, opts.sampling()); err != nil {
 					asyncMu.Lock()
 					if asyncErr == nil {
 						asyncErr = err
@@ -354,7 +363,8 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 	deps := np.deps(layout)
 	panelCost := make([]float64, nPanels)
 	var panelCursor atomic.Int64
-	resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
+	own := layout.ColBlock(r.ID)
+	resolver := makeRowResolver(layout, r.ID, b.RowRange(own.Lo, own.Hi), recvBufs, k)
 	var panelWg sync.WaitGroup
 	var panelErr error
 	var panelMu sync.Mutex
@@ -390,7 +400,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 					}
 				}
 				metricSyncPanels.Inc()
-				cost, err := processSyncRowPanel(prep, r, np, out, resolver, ws, pi, opts.SkipCompute, opts.sampling())
+				cost, err := processSyncRowPanel(prep, r, np, out, kn, resolver, ws, pi, opts.SkipCompute, opts.sampling())
 				if err != nil {
 					setPanelErr(err)
 					return
@@ -424,7 +434,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opt
 	// The barrier above is the recovery fence: every doomed rank has either
 	// passed it (it outran its crash time) or left it by dying, so the death
 	// list is final and identical across survivors.
-	return runRecoveryPhase(prep, b, r, out, opts, rec)
+	return runRecoveryPhase(prep, r, out, kn, opts, rec)
 }
 
 // stripeGate publishes one received dense stripe to the panel workers: the
@@ -580,12 +590,15 @@ func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float
 // node's own block or from a received dense stripe.
 type rowResolver func(col int32) ([]float64, error)
 
-func makeRowResolver(prep *Prep, b *dense.Matrix, rank int, recvBufs [][]float64, k int) rowResolver {
-	layout := prep.Layout
-	own := layout.ColBlock(rank)
+// makeRowResolver resolves rank's columns: those of its own column block
+// against own, the block's rows (k elements each, from its first column on),
+// and every other column against its received stripe in recvBufs.
+func makeRowResolver(layout *Layout, rank int, own []float64, recvBufs [][]float64, k int) rowResolver {
+	block := layout.ColBlock(rank)
 	return func(col int32) ([]float64, error) {
-		if own.Contains(int(col)) {
-			return b.Row(int(col)), nil
+		if block.Contains(int(col)) {
+			off := (int(col) - block.Lo) * k
+			return own[off : off+k], nil
 		}
 		sid := layout.StripeOfCol(col)
 		buf := recvBufs[sid]
@@ -598,16 +611,10 @@ func makeRowResolver(prep *Prep, b *dense.Matrix, rank int, recvBufs [][]float64
 	}
 }
 
-// processSyncRowPanel is Algorithm 2: multiply one row panel. A row only this
-// panel writes is summed straight into C; a row that async stripes also write
-// — and every row when out is a staged sink — is summed in a thread-local
-// buffer and flushed with one atomic pass. Each of the panel's distinct
-// columns is resolved to its dense B row once, into the workspace's row
-// table; then every row run is one kernels.AxpyGather call over the run's
-// entries and their plan-derived slots (see panelCols), which rounds exactly
-// like one Axpy per entry in entry order. It returns the panel's applied
-// SyncComp charge for the pipeline's overlap accounting.
-func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
+// processSyncRowPanel is Algorithm 2: compute one row panel with kn's
+// arithmetic and charge it. It returns the panel's applied SyncComp charge
+// for the pipeline's overlap accounting.
+func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, kn unitKernel, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
 	params := prep.Params
 	net := r.Net()
 	k := params.K
@@ -616,7 +623,7 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 		return 0, nil
 	}
 	if !skipCompute {
-		if err := multiplyPanel(prep.Layout, np, out, resolve, ws, n, k, smp); err != nil {
+		if err := kn.panel(prep.Layout, np, out, resolve, ws, n, k, smp); err != nil {
 			return 0, err
 		}
 	}
@@ -627,8 +634,30 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 	return cost, nil
 }
 
-// multiplyPanel is processSyncRowPanel's arithmetic.
-func multiplyPanel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, smp sampling) error {
+// unitKernel is a run's per-unit arithmetic. Everything around it —
+// transfers, batching, the row cache, pipelining, retry and degradation,
+// checkpoints and recovery — is the one executor's, shared by SpMM and
+// SDDMM (DESIGN.md section 15). Both methods write only through out.
+type unitKernel interface {
+	// panel computes sync row panel n of np.
+	panel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, smp sampling) error
+	// stripe computes async stripe si of np, whose distinct columns are
+	// cols; the dense row of cols[i] is ws.row(rowRef[i], k).
+	stripe(np *NodePart, si int, cols, rowRef []int32, out accumSink, ws *asyncScratch, k int, smp sampling)
+}
+
+// spmmKernel is C += A x B.
+type spmmKernel struct{}
+
+// panel multiplies one row panel. A row only this panel writes is summed
+// straight into C; a row that async stripes also write — and every row when
+// out is a staged sink — is summed in a thread-local buffer and flushed with
+// one atomic pass. Each of the panel's distinct columns is resolved to its
+// dense B row once, into the workspace's row table; then every row run is one
+// kernels.AxpyGather call over the run's entries and their plan-derived slots
+// (see panelCols), which rounds exactly like one Axpy per entry in entry
+// order.
+func (spmmKernel) panel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, smp sampling) error {
 	t := np.panelCols(layout)
 	if err := ws.resolveCols(t.cols[t.colPtr[n]:t.colPtr[n+1]], resolve, k); err != nil {
 		return err
@@ -666,6 +695,32 @@ func multiplyPanel(layout *Layout, np *NodePart, out accumSink, resolve rowResol
 		}
 	}
 	return nil
+}
+
+// stripe accumulates one async stripe into a stripe-local buffer flushed
+// once per touched C row: the flush is the only atomic traffic, one AddRange
+// pass per output row instead of a CAS loop per scalar per nonzero.
+func (spmmKernel) stripe(np *NodePart, si int, cols, rowRef []int32, out accumSink, ws *asyncScratch, k int, smp sampling) {
+	entries := np.Async.Entries[np.Async.StripePtr[si]:np.Async.StripePtr[si+1]]
+	acc := &ws.acc
+	acc.Begin(int(np.RowHi-np.RowLo), k)
+	ci := 0
+	for i := 0; i < len(entries); {
+		col := entries[i].Col
+		j := i + 1
+		for j < len(entries) && entries[j].Col == col {
+			j++
+		}
+		for cols[ci] != col {
+			ci++
+		}
+		accumulateRun(acc, entries[i:j], ws.row(rowRef[ci], k), np.RowLo, smp)
+		i = j
+	}
+	base := int(np.RowLo) * k
+	for i, row := range acc.Touched() {
+		out.AddRange(base+int(row)*k, acc.Vals(i))
+	}
 }
 
 // nzStride is the distance, in float64s, between the Val fields of

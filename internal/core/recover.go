@@ -147,9 +147,9 @@ func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *liveOutput
 // must not depend on earlier runs' state.
 type unitRunner struct {
 	prep     *Prep
-	b        *dense.Matrix
 	r        *cluster.Rank
 	np       *NodePart
+	kn       unitKernel
 	opts     ExecOptions
 	batches  []asyncBatch // units [0, len(batches)); a pure function of the plan
 	resolver rowResolver  // dense rows for the panel units
@@ -157,8 +157,8 @@ type unitRunner struct {
 	pws      panelScratch
 }
 
-func newUnitRunner(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, opts ExecOptions) *unitRunner {
-	return &unitRunner{prep: prep, b: b, r: r, np: np, opts: opts,
+func newUnitRunner(prep *Prep, r *cluster.Rank, np *NodePart, kn unitKernel, opts ExecOptions) *unitRunner {
+	return &unitRunner{prep: prep, r: r, np: np, kn: kn, opts: opts,
 		batches: buildAsyncSchedule(prep.Layout, np, prep.Params.K, prep.Params.MaxBatchBytes, nil)}
 }
 
@@ -168,9 +168,9 @@ func (ur *unitRunner) units() int { return len(ur.batches) + ur.np.Sync.NumPanel
 func (ur *unitRunner) run(u int, sink accumSink) error {
 	smp := ur.opts.sampling()
 	if u < len(ur.batches) {
-		return processAsyncBatch(ur.prep, ur.b, ur.r, ur.np, sink, &ur.aws, ur.batches[u], nil, ur.opts.SkipCompute, smp)
+		return processAsyncBatch(ur.prep, ur.r, ur.np, sink, ur.kn, &ur.aws, ur.batches[u], nil, ur.opts.SkipCompute, smp)
 	}
-	_, err := processSyncRowPanel(ur.prep, ur.r, ur.np, sink, ur.resolver, &ur.pws, u-len(ur.batches), ur.opts.SkipCompute, smp)
+	_, err := processSyncRowPanel(ur.prep, ur.r, ur.np, sink, ur.kn, ur.resolver, &ur.pws, u-len(ur.batches), ur.opts.SkipCompute, smp)
 	return err
 }
 
@@ -183,7 +183,7 @@ func (ur *unitRunner) run(u int, sink accumSink) error {
 // checkpoints got, leaves the barrier so the survivors' fence completes, and
 // returns nil. Die fails (propagating to the PR 3 abort path) only when no
 // live rank would remain to recover.
-func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator) error {
+func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, kn unitKernel, opts ExecOptions, rec *recoveryCoordinator) error {
 	np := &prep.Nodes[r.ID]
 	k := prep.Params.K
 	if err := beginNode(prep, b, r, np); err != nil {
@@ -234,8 +234,9 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutpu
 		return fail(err)
 	}
 
-	ur := newUnitRunner(prep, b, r, np, opts)
-	ur.resolver = makeRowResolver(prep, b, r.ID, recvBufs, k)
+	ur := newUnitRunner(prep, r, np, kn, opts)
+	own := prep.Layout.ColBlock(r.ID)
+	ur.resolver = makeRowResolver(prep.Layout, r.ID, b.RowRange(own.Lo, own.Hi), recvBufs, k)
 	total := ur.units()
 	for u := 0; u < total; u++ {
 		err := ur.run(u, sink)
@@ -256,7 +257,7 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutpu
 	if err := r.Barrier(); err != nil {
 		return err
 	}
-	return runRecoveryPhase(prep, b, r, out, opts, rec)
+	return runRecoveryPhase(prep, r, out, kn, opts, rec)
 }
 
 // runRecoveryPhase is the survivors' post-fence tail: nothing on a run
@@ -264,12 +265,12 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutpu
 // unfinished units, then re-synchronize. The second barrier exists only on
 // the death path, and the death list is fence-consistent, so every live rank
 // takes the same barrier count.
-func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator) error {
+func runRecoveryPhase(prep *Prep, r *cluster.Rank, out *liveOutput, kn unitKernel, opts ExecOptions, rec *recoveryCoordinator) error {
 	deaths := r.Deaths()
 	if len(deaths) == 0 {
 		return nil
 	}
-	if err := recoverDead(prep, b, r, out, opts, rec, deaths); err != nil {
+	if err := recoverDead(prep, r, out, kn, opts, rec, deaths); err != nil {
 		return err
 	}
 	return r.Barrier()
@@ -280,7 +281,7 @@ func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOut
 // flush pipelines can never wait on each other cyclically). All charges in
 // here land in the Recovery category via BeginRecovery, and the phase's
 // applied seconds and re-executed unit counts go to ResilienceStats.
-func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator, deaths []cluster.DeathRecord) error {
+func recoverDead(prep *Prep, r *cluster.Rank, out *liveOutput, kn unitKernel, opts ExecOptions, rec *recoveryCoordinator, deaths []cluster.DeathRecord) error {
 	live := liveAfter(r.P, deaths)
 	myPos := -1
 	for i, id := range live {
@@ -296,7 +297,7 @@ func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, 
 	before := r.Breakdown().Recovery
 	var stripes, panels int64
 	for _, d := range deaths {
-		s, p, err := recoverOne(prep, b, r, out, opts, rec, d, live, myPos)
+		s, p, err := recoverOne(prep, r, out, kn, opts, rec, d, live, myPos)
 		stripes += s
 		panels += p
 		if err != nil {
@@ -315,10 +316,10 @@ func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, 
 // death's shared pipeline — so the additions into the dead rank's C rows
 // happen in one deterministic sequence regardless of survivor interleaving,
 // and a same-seed replay reproduces C bit-for-bit.
-func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
+func recoverOne(prep *Prep, r *cluster.Rank, out *liveOutput, kn unitKernel, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
 	// Every survivor independently reconstructs the dead rank's batch list —
 	// and with it the unit numbering its checkpoints used.
-	ur := newUnitRunner(prep, b, r, &prep.Nodes[d.Rank], opts)
+	ur := newUnitRunner(prep, r, &prep.Nodes[d.Rank], kn, opts)
 	nAsync := len(ur.batches)
 	todo := ur.units() - d.Units
 	if todo <= 0 {
@@ -414,20 +415,7 @@ func buildRecoveryResolver(prep *Prep, r *cluster.Rank, d cluster.DeathRecord, l
 		r.ChargeOp(cluster.Recovery, "recover.refetch", net.MulticastCost(elems, 1))
 		recvBufs[sid] = dst
 	}
-	return func(col int32) ([]float64, error) {
-		if ownBlock.Contains(int(col)) {
-			o := (int(col) - ownBlock.Lo) * k
-			return ownBuf[o : o+k], nil
-		}
-		sid := layout.StripeOfCol(col)
-		buf := recvBufs[sid]
-		if buf == nil {
-			return nil, fmt.Errorf("core: recovering rank %d's panels: dense stripe %d for column %d was never re-fetched", d.Rank, sid, col)
-		}
-		colLo, _ := layout.StripeCols(sid)
-		o := int(col-colLo) * k
-		return buf[o : o+k], nil
-	}, nil
+	return makeRowResolver(layout, d.Rank, ownBuf, recvBufs, k), nil
 }
 
 // liveAfter returns the sorted rank ids not present in the death list.

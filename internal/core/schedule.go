@@ -290,12 +290,12 @@ func fingerprint(data []float64) uint64 {
 
 // processAsyncBatch is Algorithm 3 over one owner-batch of async stripes:
 // gather each stripe's distinct columns, serve cache hits locally, coalesce
-// the misses into one aggregated GetIndexed, then run the per-stripe
-// accumulation kernels against the combined fetch+cache buffers. Modeled
-// cost: one OneSidedBatchCost charge for the whole request (AlphaA once), one
+// the misses into one aggregated GetIndexed, then run kn's stripe arithmetic
+// against the combined fetch+cache buffers. Modeled cost: one
+// OneSidedBatchCost charge for the whole request (AlphaA once), one
 // AsyncComputeCost charge per stripe, and a SyncFallbackPull degradation —
 // applied per batch — when the retry budget runs out.
-func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, out accumSink, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
+func processAsyncBatch(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, kn unitKernel, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
 	k := params.K
@@ -402,50 +402,20 @@ func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePar
 		cache.mu.Unlock()
 	}
 
-	// Per-stripe accumulation into a stripe-local buffer flushed once per
-	// touched C row — the flush is the only atomic traffic: one AddRange pass
-	// per output row instead of a CAS loop per scalar per nonzero — with a
-	// per-stripe AsyncComp charge. The batch's communication cost is spread
-	// evenly across its stripes for the stripe-seconds histogram.
+	// Per-stripe arithmetic with a per-stripe AsyncComp charge. The batch's
+	// communication cost is spread evenly across its stripes for the
+	// stripe-seconds histogram.
 	commShare := commCost / float64(bt.hi-bt.lo)
 	for si := bt.lo; si < bt.hi; si++ {
-		entries := np.Async.Entries[np.Async.StripePtr[si]:np.Async.StripePtr[si+1]]
-		if len(entries) == 0 {
+		nnz := np.Async.StripePtr[si+1] - np.Async.StripePtr[si]
+		if nnz == 0 {
 			continue
 		}
-		clo := ws.stripeColPtr[si-bt.lo]
-		cols := ws.cols[clo:ws.stripeColPtr[si-bt.lo+1]]
-		rowRef := ws.rowRef[clo:]
 		if !skipCompute {
-			acc := &ws.acc
-			acc.Begin(int(np.RowHi-np.RowLo), k)
-			ci := 0
-			for i := 0; i < len(entries); {
-				col := entries[i].Col
-				j := i + 1
-				for j < len(entries) && entries[j].Col == col {
-					j++
-				}
-				for cols[ci] != col {
-					ci++
-				}
-				var brow []float64
-				if ref := rowRef[ci]; ref >= 0 {
-					off := int(ref) * k
-					brow = drows[off : off+k]
-				} else {
-					off := int(^ref) * k
-					brow = ws.crows[off : off+k]
-				}
-				accumulateRun(acc, entries[i:j], brow, np.RowLo, smp)
-				i = j
-			}
-			base := int(np.RowLo) * k
-			for i, row := range acc.Touched() {
-				out.AddRange(base+int(row)*k, acc.Vals(i))
-			}
+			clo := ws.stripeColPtr[si-bt.lo]
+			kn.stripe(np, si, ws.cols[clo:ws.stripeColPtr[si-bt.lo+1]], ws.rowRef[clo:], out, ws, k, smp)
 		}
-		kept := float64(len(entries)) * smp.computeScale()
+		kept := float64(nnz) * smp.computeScale()
 		compCost := net.AsyncComputeCost(int64(kept), k, params.ModelAsyncCompThreads, 1)
 		r.ChargeOp(cluster.AsyncComp, "compute.async.stripe", compCost)
 		metricStripeSeconds.Observe(commShare + compCost)

@@ -126,7 +126,7 @@ func TestPlanBatchRegionsMatchesPerStripe(t *testing.T) {
 					ws.stripeColPtr = append(ws.stripeColPtr, int32(len(ws.cols)))
 					entries := np.Async.Entries[np.Async.StripePtr[s]:np.Async.StripePtr[s+1]]
 					ws.cols = appendUniqueCols2(ws.cols, entries)
-					regs, _, _ := coalesceRegions(uniqueCols(entries), gap, ownerColLo, k)
+					regs, _, _ := coalesceRegionsInto(nil, nil, uniqueCols(entries), gap, ownerColLo, k)
 					want = append(want, expandRegions(regs, ownerColLo, k)...)
 				}
 				ws.stripeColPtr = append(ws.stripeColPtr, int32(len(ws.cols)))
@@ -366,17 +366,17 @@ func TestAsyncBatchEstimate(t *testing.T) {
 func TestCoalesceGapBoundaries(t *testing.T) {
 	const k = 4
 	// maxGap 0: even adjacent columns stay separate regions.
-	regions, _, fetched := coalesceRegions([]int32{2, 3, 4}, 0, 0, k)
+	regions, _, fetched := coalesceRegionsInto(nil, nil, []int32{2, 3, 4}, 0, 0, k)
 	if len(regions) != 3 || fetched != 3 {
 		t.Fatalf("maxGap 0: %d regions, %d rows; want 3 and 3", len(regions), fetched)
 	}
 	// Gap exactly equal to maxGap merges (and fetches the gap rows).
-	regions, _, fetched = coalesceRegions([]int32{2, 5}, 3, 0, k)
+	regions, _, fetched = coalesceRegionsInto(nil, nil, []int32{2, 5}, 3, 0, k)
 	if len(regions) != 1 || fetched != 4 {
 		t.Fatalf("gap == maxGap: %d regions, %d rows; want 1 and 4", len(regions), fetched)
 	}
 	// One past maxGap does not.
-	regions, _, fetched = coalesceRegions([]int32{2, 6}, 3, 0, k)
+	regions, _, fetched = coalesceRegionsInto(nil, nil, []int32{2, 6}, 3, 0, k)
 	if len(regions) != 2 || fetched != 2 {
 		t.Fatalf("gap == maxGap+1: %d regions, %d rows; want 2 and 2", len(regions), fetched)
 	}

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"twoface/internal/cluster"
@@ -19,10 +16,9 @@ import (
 // partitioning, X rows are node-local (indexed by A rows, like C in SpMM)
 // and Y rows follow A's column structure (indexed like B in SpMM), so the
 // communication problem — which Y rows to move, collectively or one-sidedly
-// — is *identical* to SpMM's, and an existing SpMM Prep is reused verbatim:
-// synchronous stripes multicast whole dense stripes of Y, asynchronous
-// stripes fetch individual Y rows. Unlike SpMM, output entries are
-// independent, so no atomics are needed.
+// — is *identical* to SpMM's: SDDMM runs the SpMM executor over the same
+// plan with Y in B's role, and only the per-unit arithmetic (sddmmKernel)
+// differs.
 
 // SDDMMResult is the outcome of one distributed SDDMM.
 type SDDMMResult struct {
@@ -38,7 +34,9 @@ type SDDMMResult struct {
 }
 
 // ExecSDDMM runs distributed SDDMM using an SpMM preprocessing plan. X must
-// be NumRows x K, Y must be NumCols x K with K = prep.Params.K.
+// be NumRows x K, Y must be NumCols x K with K = prep.Params.K. Sampling
+// options apply to SpMM only and are ignored. On a multi-process transport C
+// holds only the local ranks' entries.
 func ExecSDDMM(prep *Prep, x, y *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (*SDDMMResult, error) {
 	params := prep.Params
 	if x.Rows != int(prep.Layout.NumRows) || x.Cols != params.K {
@@ -47,276 +45,97 @@ func ExecSDDMM(prep *Prep, x, y *dense.Matrix, clu *cluster.Cluster, opts ExecOp
 	if y.Rows != int(prep.Layout.NumCols) || y.Cols != params.K {
 		return nil, fmt.Errorf("core: Y is %dx%d, want %dx%d", y.Rows, y.Cols, prep.Layout.NumCols, params.K)
 	}
-	if clu.P() != params.P {
-		return nil, fmt.Errorf("core: cluster has %d nodes, prep expects %d", clu.P(), params.P)
+	opts.SampleKeep = 0
+	kn := sddmmKernel{x: x, base: make([]int, len(prep.Nodes)+1)}
+	for i := range prep.Nodes {
+		kn.base[i+1] = kn.base[i] + len(prep.Nodes[i].Sync.Entries) + len(prep.Nodes[i].Async.Entries)
 	}
-	opts = opts.normalize()
-	clu.Reset()
-
-	parts := make([][]sparse.NZ, params.P)
-	start := time.Now()
-	runErr := clu.Run(func(r *cluster.Rank) error {
-		out, err := sddmmNode(prep, x, y, r, opts)
-		if err != nil {
-			return err
-		}
-		parts[r.ID] = out
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
+	var vals []float64
+	if !opts.SkipCompute {
+		vals = make([]float64, kn.base[len(prep.Nodes)])
 	}
-	wall := time.Since(start)
+	res, err := runUnits(prep, y, clu, opts, vals, kn)
+	if err != nil {
+		return nil, err
+	}
 
 	c := &sparse.COO{NumRows: prep.Layout.NumRows, NumCols: prep.Layout.NumCols}
-	for _, p := range parts {
-		c.Entries = append(c.Entries, p...)
+	if vals != nil {
+		for _, rank := range clu.Transport().LocalRanks() {
+			np := &prep.Nodes[rank]
+			i := kn.base[rank]
+			for _, es := range [2][]sparse.NZ{np.Sync.Entries, np.Async.Entries} {
+				for _, e := range es {
+					c.Entries = append(c.Entries, sparse.NZ{Row: np.RowLo + e.Row, Col: e.Col, Val: vals[i]})
+					i++
+				}
+			}
+		}
+		c.SortRowMajor()
 	}
-	c.SortRowMajor()
 	return &SDDMMResult{
 		C:              c,
-		Breakdowns:     clu.Breakdowns(),
-		ModeledSeconds: clu.TotalTime(),
-		Wall:           wall,
-		Transfer:       clu.TransferStats(),
-		TotalTransfer:  clu.TotalTransfer(),
+		Breakdowns:     res.Breakdowns,
+		ModeledSeconds: res.ModeledSeconds,
+		Wall:           res.Wall,
+		Transfer:       res.Transfer,
+		TotalTransfer:  res.TotalTransfer,
 	}, nil
 }
 
-// sddmmNode mirrors execNode with the SpMM accumulation replaced by
-// per-entry dot products.
-func sddmmNode(prep *Prep, x, y *dense.Matrix, r *cluster.Rank, opts ExecOptions) ([]sparse.NZ, error) {
-	layout, params := prep.Layout, prep.Params
-	net := r.Net()
-	np := &prep.Nodes[r.ID]
-	k := params.K
-
-	colBlock := layout.ColBlock(r.ID)
-	r.Expose("Y", y.RowRange(colBlock.Lo, colBlock.Hi))
-	if err := r.Barrier(); err != nil {
-		return nil, err
-	}
-
-	rooted := 0
-	lo, hi := layout.NodeStripeRange(r.ID)
-	for sid := lo; sid < hi; sid++ {
-		if len(prep.Dests[sid]) > 0 {
-			rooted++
-		}
-	}
-	r.ChargeOp(cluster.Other, "setup", net.SetupBase+net.SetupPerStripe*float64(len(np.RecvStripes)+np.Async.NumStripes()+rooted))
-
-	out := make([]sparse.NZ, 0, len(np.Sync.Entries)+len(np.Async.Entries))
-	var outMu sync.Mutex
-	emit := func(batch []sparse.NZ) {
-		outMu.Lock()
-		out = append(out, batch...)
-		outMu.Unlock()
-	}
-
-	recvBufs := make([][]float64, layout.NumStripes())
-	syncReady := make(chan error, 1)
-	var wg sync.WaitGroup
-
-	// Thread 0: synchronous dense-stripe transfers of Y (identical plan to
-	// SpMM's transfers of B).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		syncReady <- sddmmSyncTransfers(prep, r, np, recvBufs, k)
-		close(syncReady)
-	}()
-
-	// Async threads: fetch Y rows per stripe, then sample dot products.
-	var asyncErr error
-	var asyncMu sync.Mutex
-	var asyncCursor atomic.Int64
-	nAsync := int64(np.Async.NumStripes())
-	wg.Add(opts.AsyncWorkers)
-	for w := 0; w < opts.AsyncWorkers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := asyncCursor.Add(1) - 1
-				if n >= nAsync {
-					return
-				}
-				batch, err := sddmmAsyncStripe(prep, x, r, np, int(n), opts.SkipCompute)
-				if err != nil {
-					asyncMu.Lock()
-					if asyncErr == nil {
-						asyncErr = err
-					}
-					asyncMu.Unlock()
-					return
-				}
-				emit(batch)
-			}
-		}()
-	}
-
-	if err := <-syncReady; err != nil {
-		wg.Wait()
-		return nil, err
-	}
-	resolver := makeSDDMMResolver(prep, y, r.ID, recvBufs, k)
-	var panelCursor atomic.Int64
-	nPanels := int64(np.Sync.NumPanels())
-	var panelWg sync.WaitGroup
-	var panelErr error
-	var panelMu sync.Mutex
-	panelWg.Add(opts.SyncWorkers)
-	for w := 0; w < opts.SyncWorkers; w++ {
-		go func() {
-			defer panelWg.Done()
-			for {
-				n := panelCursor.Add(1) - 1
-				if n >= nPanels {
-					return
-				}
-				batch, err := sddmmSyncPanel(prep, x, r, np, resolver, int(n), opts.SkipCompute)
-				if err != nil {
-					panelMu.Lock()
-					if panelErr == nil {
-						panelErr = err
-					}
-					panelMu.Unlock()
-					return
-				}
-				emit(batch)
-			}
-		}()
-	}
-	panelWg.Wait()
-	wg.Wait()
-	if asyncErr != nil {
-		return nil, asyncErr
-	}
-	if panelErr != nil {
-		return nil, panelErr
-	}
-	if err := r.Barrier(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		return out[i].Col < out[j].Col
-	})
-	return out, nil
+// sddmmKernel writes e.Val·dot(X row, Y row) for each entry e. Its output is
+// flat, one value per plan entry: rank q's range starts at base[q] and holds
+// its sync entries, then its async entries, so every panel and every stripe
+// writes one contiguous range that no other unit touches. It ignores
+// sampling.
+type sddmmKernel struct {
+	x    *dense.Matrix
+	base []int // len P+1
 }
 
-func sddmmSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int) error {
-	layout := prep.Layout
-	net := r.Net()
-	lo, hi := layout.NodeStripeRange(r.ID)
-	for sid := lo; sid < hi; sid++ {
-		if n := len(prep.Dests[sid]); n > 0 {
-			elems := int64(layout.StripeWidthOf(sid)) * int64(k)
-			r.ChargeOp(cluster.SyncComm, "multicast.root", net.MulticastCost(elems, n))
-		}
+func (kn sddmmKernel) panel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, _ sampling) error {
+	t := np.panelCols(layout)
+	if err := ws.resolveCols(t.cols[t.colPtr[n]:t.colPtr[n+1]], resolve, k); err != nil {
+		return err
 	}
-	for _, sid := range np.RecvStripes {
-		colLo, colHi := layout.StripeCols(sid)
-		owner := layout.StripeOwner(sid)
-		ownerBlock := layout.ColBlock(owner)
-		elems := int64(colHi-colLo) * int64(k)
-		buf := make([]float64, elems)
-		off := int64(colLo-int32(ownerBlock.Lo)) * int64(k)
-		if _, err := r.MulticastPull(owner, "Y", off, elems, buf); err != nil {
-			return err
-		}
-		recvBufs[sid] = buf
-		r.ChargeOp(cluster.SyncComm, "multicast.recv", net.MulticastCost(elems, len(prep.Dests[sid])))
+	lo, hi := int(np.Sync.PanelPtr[n]), int(np.Sync.PanelPtr[n+1])
+	off := kn.base[np.Rank] + lo
+	dst := sddmmDst(out, off, hi-lo, &ws.vals)
+	for j, e := range np.Sync.Entries[lo:hi] {
+		dst[j] = e.Val * sparse.Dot(kn.x.Row(int(np.RowLo+e.Row)), ws.rows[t.slots[lo+j]])
+	}
+	if out.plain() == nil {
+		out.AddRange(off, dst)
 	}
 	return nil
 }
 
-func sddmmAsyncStripe(prep *Prep, x *dense.Matrix, r *cluster.Rank, np *NodePart, n int, skipCompute bool) ([]sparse.NZ, error) {
-	layout, params := prep.Layout, prep.Params
-	net := r.Net()
-	k := params.K
-	entries := np.Async.Entries[np.Async.StripePtr[n]:np.Async.StripePtr[n+1]]
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	sid := np.Async.StripeIDs[n]
-	owner := layout.StripeOwner(sid)
-	ownerBlock := layout.ColBlock(owner)
-
-	cols := uniqueCols(entries)
-	regions, bufRow, fetchedRows := coalesceRegions(cols, params.MaxCoalesceGap, int32(ownerBlock.Lo), k)
-	yrows := make([]float64, fetchedRows*int64(k))
-	if _, err := r.GetIndexed(owner, "Y", regions, yrows); err != nil {
-		return nil, err
-	}
-	r.ChargeOp(cluster.AsyncComm, "get.indexed", net.OneSidedCost(len(regions), fetchedRows*int64(k)))
-
-	var out []sparse.NZ
-	if !skipCompute {
-		out = make([]sparse.NZ, len(entries))
-		ci := 0
-		for i, e := range entries {
-			for cols[ci] != e.Col {
-				ci++
-			}
-			yrow := yrows[int(bufRow[ci])*k : (int(bufRow[ci])+1)*k]
-			xrow := x.Row(int(np.RowLo + e.Row))
-			out[i] = sparse.NZ{Row: np.RowLo + e.Row, Col: e.Col, Val: e.Val * dotProduct(xrow, yrow)}
+func (kn sddmmKernel) stripe(np *NodePart, si int, cols, rowRef []int32, out accumSink, ws *asyncScratch, k int, _ sampling) {
+	lo, hi := int(np.Async.StripePtr[si]), int(np.Async.StripePtr[si+1])
+	off := kn.base[np.Rank] + len(np.Sync.Entries) + lo
+	dst := sddmmDst(out, off, hi-lo, &ws.vals)
+	ci := 0
+	for j, e := range np.Async.Entries[lo:hi] {
+		for cols[ci] != e.Col {
+			ci++
 		}
+		dst[j] = e.Val * sparse.Dot(kn.x.Row(int(np.RowLo+e.Row)), ws.row(rowRef[ci], k))
 	}
-	r.ChargeOp(cluster.AsyncComp, "compute.async.stripe", net.AsyncComputeCost(int64(len(entries)), k, params.ModelAsyncCompThreads, 1))
-	return out, nil
-}
-
-func sddmmSyncPanel(prep *Prep, x *dense.Matrix, r *cluster.Rank, np *NodePart, resolve rowResolver, n int, skipCompute bool) ([]sparse.NZ, error) {
-	params := prep.Params
-	net := r.Net()
-	k := params.K
-	panel := np.Sync.Entries[np.Sync.PanelPtr[n]:np.Sync.PanelPtr[n+1]]
-	if len(panel) == 0 {
-		return nil, nil
-	}
-	var out []sparse.NZ
-	if !skipCompute {
-		out = make([]sparse.NZ, len(panel))
-		for i, e := range panel {
-			yrow, err := resolve(e.Col)
-			if err != nil {
-				return nil, err
-			}
-			xrow := x.Row(int(np.RowLo + e.Row))
-			out[i] = sparse.NZ{Row: np.RowLo + e.Row, Col: e.Col, Val: e.Val * dotProduct(xrow, yrow)}
-		}
-	}
-	r.ChargeOp(cluster.SyncComp, "compute.sync.panel", net.SyncComputeCost(int64(len(panel)), k, params.ModelSyncThreads))
-	return out, nil
-}
-
-// makeSDDMMResolver is makeRowResolver over Y instead of B.
-func makeSDDMMResolver(prep *Prep, y *dense.Matrix, rank int, recvBufs [][]float64, k int) rowResolver {
-	layout := prep.Layout
-	own := layout.ColBlock(rank)
-	return func(col int32) ([]float64, error) {
-		if own.Contains(int(col)) {
-			return y.Row(int(col)), nil
-		}
-		sid := layout.StripeOfCol(col)
-		buf := recvBufs[sid]
-		if buf == nil {
-			return nil, fmt.Errorf("core: rank %d: dense stripe %d for column %d was never received", rank, sid, col)
-		}
-		colLo, _ := layout.StripeCols(sid)
-		off := int(col-colLo) * k
-		return buf[off : off+k], nil
+	if out.plain() == nil {
+		out.AddRange(off, dst)
 	}
 }
 
-func dotProduct(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
+// sddmmDst returns where a unit's n values at output offset off go: straight
+// into C when out allows plain writes (the range has one writer), else into
+// scratch for the caller to hand to out.AddRange. A staged value is added
+// onto C's +0 at its flush, so a -0 product comes back as +0.
+func sddmmDst(out accumSink, off, n int, scratch *[]float64) []float64 {
+	if c := out.plain(); c != nil {
+		return c[off : off+n]
 	}
-	return s
+	if cap(*scratch) < n {
+		*scratch = make([]float64, n)
+	}
+	return (*scratch)[:n]
 }

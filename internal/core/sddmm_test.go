@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
+	"twoface/internal/gen"
 	"twoface/internal/sparse"
 )
 
@@ -25,7 +27,9 @@ func sddmmFixture(t *testing.T, rows int32, nnz, k, p int, seed uint64) (*sparse
 	return a, x, y, prep, clu
 }
 
-func sddmmEqual(t *testing.T, got, want *sparse.COO, tol float64) {
+// sddmmEqual requires got to hold want's entries, sorted row-major, with
+// bit-identical values.
+func sddmmEqual(t *testing.T, got, want *sparse.COO) {
 	t.Helper()
 	if len(got.Entries) != len(want.Entries) {
 		t.Fatalf("SDDMM entry counts: %d vs %d", len(got.Entries), len(want.Entries))
@@ -36,17 +40,8 @@ func sddmmEqual(t *testing.T, got, want *sparse.COO, tol float64) {
 		if g.Row != w.Row || g.Col != w.Col {
 			t.Fatalf("entry %d coordinates (%d,%d) vs (%d,%d)", i, g.Row, g.Col, w.Row, w.Col)
 		}
-		scale := 1.0
-		if abs := w.Val; abs < 0 {
-			abs = -abs
-			if abs > scale {
-				scale = abs
-			}
-		} else if abs > scale {
-			scale = abs
-		}
-		if d := g.Val - w.Val; d > tol*scale || d < -tol*scale {
-			t.Fatalf("entry %d value %v vs %v", i, g.Val, w.Val)
+		if math.Float64bits(g.Val) != math.Float64bits(w.Val) {
+			t.Fatalf("entry %d (%d,%d) value %x vs %x", i, g.Row, g.Col, math.Float64bits(g.Val), math.Float64bits(w.Val))
 		}
 	}
 }
@@ -61,7 +56,7 @@ func TestSDDMMMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sddmmEqual(t, res.C, want, 1e-12)
+	sddmmEqual(t, res.C, want)
 	if res.ModeledSeconds <= 0 {
 		t.Fatal("no modeled time")
 	}
@@ -99,7 +94,7 @@ func TestSDDMMProperty(t *testing.T) {
 			if g.Row != w.Row || g.Col != w.Col {
 				return false
 			}
-			if d := g.Val - w.Val; d > 1e-9 || d < -1e-9 {
+			if math.Float64bits(g.Val) != math.Float64bits(w.Val) {
 				return false
 			}
 		}
@@ -154,7 +149,7 @@ func TestSDDMMReusesSpMMPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSD, _ := a.SDDMM(x, y)
-	sddmmEqual(t, sd.C, wantSD, 1e-9)
+	sddmmEqual(t, sd.C, wantSD)
 }
 
 func TestSDDMMSequentialReferenceShapes(t *testing.T) {
@@ -173,5 +168,91 @@ func TestSDDMMSequentialReferenceShapes(t *testing.T) {
 	}
 	if _, err := a.SDDMM(x, dense.New(20, 5)); err == nil {
 		t.Fatal("K mismatch should fail")
+	}
+}
+
+// Every SDDMM value is one entry's multiplier times the dot of two dense
+// rows, computed once by one writer with the reference's own scalar dot, so
+// the distributed C equals the sequential reference bit for bit at any
+// worker count.
+func TestSDDMMBitIdenticalToReference(t *testing.T) {
+	for _, spec := range gen.Specs() {
+		t.Run(spec.Short, func(t *testing.T) {
+			t.Parallel()
+			const scale = 0.004
+			a := spec.Build(scale, 7)
+			for _, p := range []int{1, 4} {
+				for _, k := range []int{16, 37} {
+					x := dense.Random(int(a.NumRows), k, 8)
+					y := dense.Random(int(a.NumCols), k, 9)
+					want, err := a.SDDMM(x, y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prep, err := Preprocess(a, Params{P: p, K: k, W: spec.ScaledWidth(scale)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, opts := range []ExecOptions{{SyncWorkers: 1, AsyncWorkers: 1}, {}} {
+						clu, err := cluster.New(p, cluster.Default())
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := ExecSDDMM(prep, x, y, clu, opts)
+						if err != nil {
+							t.Fatalf("p=%d k=%d workers %d/%d: %v", p, k, opts.SyncWorkers, opts.AsyncWorkers, err)
+						}
+						sddmmEqual(t, res.C, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// SDDMM is the SpMM executor with another per-unit kernel, so on one plan
+// (with Y in B's role) it moves the same bytes in the same requests and
+// charges the same ledger, rank by rank. Fresh plans with the row cache off
+// keep the runs independent, and pinned workers fix each ledger's order of
+// addition.
+func TestSDDMMSharesTheSpMMEngine(t *testing.T) {
+	for _, spec := range gen.Specs() {
+		t.Run(spec.Short, func(t *testing.T) {
+			t.Parallel()
+			const scale, p, k = 0.004, 4, 32
+			a := spec.Build(scale, 7)
+			x := dense.Random(int(a.NumRows), k, 8)
+			y := dense.Random(int(a.NumCols), k, 9)
+			fresh := func() (*Prep, *cluster.Cluster) {
+				prep, err := Preprocess(a, Params{P: p, K: k, W: spec.ScaledWidth(scale), RowCacheElems: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				clu, err := cluster.New(p, cluster.Default())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return prep, clu
+			}
+			opts := ExecOptions{SyncWorkers: 1, AsyncWorkers: 1}
+			prep, clu := fresh()
+			sd, err := ExecSDDMM(prep, x, y, clu, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, clu = fresh()
+			mul, err := Exec(prep, y, clu, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd.TotalTransfer != mul.TotalTransfer {
+				t.Errorf("SDDMM moved %+v, Multiply %+v", sd.TotalTransfer, mul.TotalTransfer)
+			}
+			for r := range mul.Breakdowns {
+				if sd.Breakdowns[r] != mul.Breakdowns[r] {
+					t.Errorf("rank %d: SDDMM ledger %+v, Multiply's %+v", r, sd.Breakdowns[r], mul.Breakdowns[r])
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,8 @@ import (
 // asyncScratch backs processAsyncBatch: the unique-column scan with its
 // per-stripe bounds, the per-column row references, the copies of cache-hit
 // rows, the per-stripe miss/coalesce scratch, the aggregated fetch regions,
-// the one-sided fetch buffer, and the stripe-local accumulator.
+// the one-sided fetch buffer, the stripe-local accumulator, and a staged
+// SDDMM stripe's values.
 // Retention note: every asyncScratch field is a slice of values (indices,
 // regions, or float64 copies — crows holds copies of cached rows, rowRef
 // holds indices, never slice headers into foreign arrays), so parking one in
@@ -38,6 +39,7 @@ type asyncScratch struct {
 	missCols     []int32          // current stripe's miss columns
 	missIdx      []int32          // their indices into cols
 	regions2     []cluster.Region // current stripe's coalesced regions
+	vals         []float64        // SDDMM values bound for a staged sink
 }
 
 var asyncScratchPool = sync.Pool{New: func() any { return new(asyncScratch) }}
@@ -48,6 +50,15 @@ func (ws *asyncScratch) fetchBuf(n int) []float64 {
 		ws.drows = make([]float64, n)
 	}
 	return ws.drows[:n]
+}
+
+// row returns the dense row a column's rowRef names: a fetched row in drows,
+// or a cache-hit copy in crows.
+func (ws *asyncScratch) row(ref int32, k int) []float64 {
+	if ref >= 0 {
+		return ws.drows[int(ref)*k : int(ref)*k+k]
+	}
+	return ws.crows[int(^ref)*k : int(^ref)*k+k]
 }
 
 // recvArena is the pooled backing store for a node's dense-stripe receive
@@ -73,7 +84,8 @@ func (a *recvArena) grab(n int64) []float64 {
 // panelScratch backs processSyncRowPanel: the accumulator row for rows the
 // panel may not sum in C directly (async stripes share them, or the sink is
 // staged), the panel's dense rows indexed by the slots of its column table
-// (see panelCols), and a sampled row run's surviving multipliers and slots.
+// (see panelCols), and a sampled row run's surviving multipliers and slots
+// (vals also holds a staged SDDMM panel's values).
 type panelScratch struct {
 	acc   []float64
 	rows  [][]float64

@@ -246,7 +246,7 @@ func RecordSkew(reg *Registry, breakdowns []cluster.Breakdown) {
 // executor hid behind stripe multicasts: exec.sync.overlap_seconds is the
 // cluster-wide SyncOverlap sum and exec.sync.overlap_frac is that sum over
 // the serial sync half (SyncComm + SyncComp), in [0, 1). Runs with no
-// overlap credit — baselines, SDDMM — publish nothing.
+// overlap credit, such as the baselines, publish nothing.
 func RecordOverlap(reg *Registry, breakdowns []cluster.Breakdown) {
 	var overlap, serial float64
 	for _, bd := range breakdowns {

@@ -22,12 +22,15 @@ func (m *COO) SDDMM(x, y *dense.Matrix) (*COO, error) {
 	}
 	out := &COO{NumRows: m.NumRows, NumCols: m.NumCols, Entries: make([]NZ, len(m.Entries))}
 	for i, e := range m.Entries {
-		out.Entries[i] = NZ{Row: e.Row, Col: e.Col, Val: e.Val * dot(x.Row(int(e.Row)), y.Row(int(e.Col)))}
+		out.Entries[i] = NZ{Row: e.Row, Col: e.Col, Val: e.Val * Dot(x.Row(int(e.Row)), y.Row(int(e.Col)))}
 	}
 	return out, nil
 }
 
-func dot(a, b []float64) float64 {
+// Dot is the scalar dot product of a and b[:len(a)], summed left to right.
+// The distributed SDDMM calls it too, so its values match SDDMM's bit for
+// bit.
+func Dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
 		s += v * b[i]

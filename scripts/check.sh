@@ -40,16 +40,19 @@ go test -race ./...
 echo "== go test -race ./... (TWOFACE_FORCE_GENERIC=1)"
 TWOFACE_FORCE_GENERIC=1 go test -race ./...
 
-echo "== single-writer rows vs shared rows, and the pinned-worker ledger (-race -count=10, both dispatch modes)"
+echo "== single-writer rows vs shared rows, SDDMM's single-writer ranges, and the pinned-worker ledger (-race -count=10, both dispatch modes)"
 # C is its own accumulator: panel workers sum single-writer rows in place
 # while async workers CAS into the rows they share. The forced-generic pass
 # is the one in which the race detector can see the in-place stores.
 for generic in "" 1; do
     TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
-        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical|TestSyncRowsMatchChainedAxpy)$' ./internal/core
+        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical|TestSyncRowsMatchChainedAxpy|TestSDDMMBitIdenticalToReference)$' ./internal/core
     TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
         -run '^TestInstrumentationOffBitIdentical$' .
 done
+
+echo "== SDDMM end to end (attention example: exits non-zero unless SDDMM matches the reference)"
+go run ./examples/attention
 
 echo "== kernel benchmark smoke (1 iteration each)"
 go test -run '^$' \
