@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -73,25 +74,114 @@ func TestGetIndexedErrors(t *testing.T) {
 
 func TestMulticastPull(t *testing.T) {
 	c := mustNew(t, 4)
+	windows := make([][]float64, 4)
 	err := c.Run(func(r *Rank) error {
-		data := []float64{float64(r.ID), float64(r.ID) * 2, float64(r.ID) * 3}
-		r.Expose("stripe", data)
+		windows[r.ID] = []float64{float64(r.ID), float64(r.ID) * 2, float64(r.ID) * 3}
+		r.Expose("stripe", windows[r.ID])
 		if err := r.Barrier(); err != nil {
 			return err
 		}
-		// Everyone pulls rank 2's window.
-		dst := make([]float64, 2)
-		if _, err := r.MulticastPull(2, "stripe", 1, 2, dst); err != nil {
+		// Everyone pulls rank 2's window. The simulator hands back the
+		// window's own memory, so the copy destination is never asked for.
+		got, _, err := r.MulticastPull(2, "stripe", 1, 2, func(int64) []float64 {
+			panic("the simulator's multicast copied instead of reading the root's window in place")
+		})
+		if err != nil {
 			return err
 		}
-		if dst[0] != 4 || dst[1] != 6 {
-			return fmt.Errorf("rank %d pulled %v", r.ID, dst)
+		if len(got) != 2 || cap(got) != 2 || &got[0] != &windows[2][1] || got[1] != 6 {
+			return fmt.Errorf("rank %d pulled %v (cap %d), not a view of rank 2's window", r.ID, got, cap(got))
 		}
-		return nil
+		return r.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s := c.TransferStats()[0]; s.CollectiveBytes != 16 || s.CollectiveMsgs != 1 || s.OneSidedBytes != 0 {
+		t.Fatalf("rank 0 counters after one view: %+v", s)
+	}
+}
+
+// Behind a decorator the cluster never reads a window in place: the
+// decorator must see every byte its backend moves, so the stripe is Read
+// into the caller's buffer, with the same counters as a view.
+func TestMulticastPullThroughDecoratorCopies(t *testing.T) {
+	mem, err := NewMemTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewWithTransport(struct{ Transport }{mem}, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := []float64{1, 2, 3, 4}
+	err = c.Run(func(r *Rank) error {
+		if r.ID == 1 {
+			r.Expose("stripe", window)
+		}
+		if err := r.Barrier(); err != nil {
+			return err
+		}
+		if r.ID == 0 {
+			dst := make([]float64, 8)
+			got, _, err := r.MulticastPull(1, "stripe", 1, 3, into(dst))
+			if err != nil {
+				return err
+			}
+			if len(got) != 3 || cap(got) != 3 || &got[0] != &dst[0] || got[0] != 2 || got[2] != 4 {
+				return fmt.Errorf("pulled %v (cap %d), want [2 3 4] copied into dst", got, cap(got))
+			}
+		}
+		return r.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.TransferStats()[0]; s.CollectiveBytes != 24 || s.CollectiveMsgs != 1 || s.OneSidedBytes != 0 || s.OneSidedMsgs != 0 {
+		t.Fatalf("rank 0 counters after one copied pull: %+v", s)
+	}
+}
+
+// A view passes the checks Read makes before it hands out any memory, and an
+// aborted cluster hands out none.
+func TestMemTransportViewRefusals(t *testing.T) {
+	tr, err := NewMemTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt := tr.(*memTransport)
+	mt.Expose(1, "B", []float64{1, 2, 3, 4, 5, 6})
+	for _, tc := range []struct {
+		name   string
+		target int
+		window string
+		reg    Region
+		want   error
+	}{
+		{"oob", 1, "B", Region{Off: 4, Elems: 3}, ErrRegionOOB},
+		{"negative offset", 1, "B", Region{Off: -1, Elems: 2}, ErrRegionOOB},
+		{"negative length", 1, "B", Region{Off: 0, Elems: -1}, ErrRegionOOB},
+		{"missing window", 1, "nope", Region{Off: 0, Elems: 1}, ErrWindowMissing},
+		{"bad target", 9, "B", Region{Off: 0, Elems: 1}, ErrWindowMissing},
+	} {
+		if got, err := mt.view(0, tc.target, tc.window, tc.reg); !errors.Is(err, tc.want) || got != nil {
+			t.Errorf("%s: view = %v, err = %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+
+	c := mustNew(t, 2)
+	c.tr.Expose(1, "B", []float64{1, 2})
+	cause := errors.New("view boom")
+	c.tr.Abort(cause)
+	got, _, err := c.ranks[0].MulticastPull(1, "B", 0, 2, into(nil))
+	if !errors.Is(err, ErrAborted) || !errors.Is(err, cause) || got != nil {
+		t.Fatalf("pull after abort = %v, err = %v; want the abort error", got, err)
+	}
+}
+
+// into returns a MulticastPull destination that always hands out dst.
+func into(dst []float64) func(int64) []float64 {
+	return func(int64) []float64 { return dst }
 }
 
 func TestSendrecvRing(t *testing.T) {

@@ -107,7 +107,7 @@ func TestWindowErrorPaths(t *testing.T) {
 		{
 			name: "multicast window missing",
 			call: func(r *Rank, dst []float64) error {
-				_, err := r.MulticastPull(0, "nope", 0, 1, dst)
+				_, _, err := r.MulticastPull(0, "nope", 0, 1, into(dst))
 				return err
 			},
 			wantErr: ErrWindowMissing,
@@ -333,12 +333,12 @@ func TestMulticastLegRetry(t *testing.T) {
 		if r.ID != 1 {
 			return nil
 		}
-		dst := make([]float64, 2)
-		if _, err := r.MulticastPull(0, "w", 0, 2, dst); err != nil {
+		got, _, err := r.MulticastPull(0, "w", 0, 2, into(make([]float64, 2)))
+		if err != nil {
 			return err
 		}
-		if dst[0] != 4 || dst[1] != 5 {
-			return fmt.Errorf("leg retry returned %v", dst)
+		if got[0] != 4 || got[1] != 5 {
+			return fmt.Errorf("leg retry returned %v", got)
 		}
 		return nil
 	})

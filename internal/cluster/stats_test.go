@@ -45,7 +45,7 @@ func TestTransferStatsMulticastReclassifies(t *testing.T) {
 		}
 		if r.ID == 1 {
 			dst := make([]float64, 16)
-			if _, err := r.MulticastPull(0, "b", 8, 16, dst); err != nil {
+			if _, _, err := r.MulticastPull(0, "b", 8, 16, into(dst)); err != nil {
 				return err
 			}
 		}
@@ -225,7 +225,7 @@ func TestOneSidedGetsCounting(t *testing.T) {
 				return err
 			}
 			// A multicast pull is collective: no get counted.
-			if _, err := r.MulticastPull(0, "w", 0, 8, make([]float64, 8)); err != nil {
+			if _, _, err := r.MulticastPull(0, "w", 0, 8, into(make([]float64, 8))); err != nil {
 				return err
 			}
 		}

@@ -34,7 +34,7 @@ func TestTraceRecordsAllOps(t *testing.T) {
 		if _, err := r.GetIndexed(peer, "w", []Region{{Off: 0, Elems: 2}, {Off: 8, Elems: 2}}, make([]float64, 4)); err != nil {
 			return err
 		}
-		if _, err := r.MulticastPull(peer, "w", 0, 4, make([]float64, 4)); err != nil {
+		if _, _, err := r.MulticastPull(peer, "w", 0, 4, into(make([]float64, 4))); err != nil {
 			return err
 		}
 		if _, err := r.Sendrecv(make([]float64, 3), peer, peer); err != nil {

@@ -155,15 +155,24 @@ func (t *memTransport) Expose(rank int, name string, data []float64) {
 	t.mu.Unlock()
 }
 
-func (t *memTransport) Read(rank, target int, name string, regions []Region, dst []float64) (int64, error) {
+// window returns target's window name, or ErrWindowMissing.
+func (t *memTransport) window(rank, target int, name string) ([]float64, error) {
 	if target < 0 || target >= t.p {
-		return 0, fmt.Errorf("cluster: rank %d: window target %d out of range [0,%d): %w", rank, target, t.p, ErrWindowMissing)
+		return nil, fmt.Errorf("cluster: rank %d: window target %d out of range [0,%d): %w", rank, target, t.p, ErrWindowMissing)
 	}
 	t.mu.RLock()
 	w, ok := t.windows[target][name]
 	t.mu.RUnlock()
 	if !ok {
-		return 0, fmt.Errorf("cluster: rank %d: no window %q exposed by rank %d: %w", rank, name, target, ErrWindowMissing)
+		return nil, fmt.Errorf("cluster: rank %d: no window %q exposed by rank %d: %w", rank, name, target, ErrWindowMissing)
+	}
+	return w, nil
+}
+
+func (t *memTransport) Read(rank, target int, name string, regions []Region, dst []float64) (int64, error) {
+	w, err := t.window(rank, target, name)
+	if err != nil {
+		return 0, err
 	}
 	// Validate the complete request before copying anything: a rejected get
 	// must leave dst untouched so the retry/degrade path above can reuse it.
@@ -176,6 +185,22 @@ func (t *memTransport) Read(rank, target int, name string, regions []Region, dst
 		n += reg.Elems
 	}
 	return n, nil
+}
+
+// view returns one region of target's window in place, after Read's checks:
+// every rank shares this address space, as the ranks of an MPI-3
+// shared-memory window do. The view is read-only, its capacity clipped to the
+// region, and valid for the window's exposure epoch.
+func (t *memTransport) view(rank, target int, name string, reg Region) ([]float64, error) {
+	w, err := t.window(rank, target, name)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := CheckRegions(rank, target, name, []Region{reg}, len(w), int(reg.Elems)); err != nil {
+		return nil, err
+	}
+	end := reg.Off + reg.Elems
+	return w[reg.Off:end:end], nil
 }
 
 func (t *memTransport) Deposit(rank int, data []float64) {

@@ -94,15 +94,15 @@ func (r *Rank) getIndexed(target int, name string, regions []Region, dst []float
 	r.counters.addOneSided(n, int64(len(regions)))
 	if record {
 		// Count the aggregated request itself only for true one-sided gets:
-		// multicast pulls and degraded re-fetches (record=false) subtract the
+		// degraded and recovery re-fetches (record=false) subtract the
 		// provisional region/byte counts and reclassify them as collective,
 		// so they must not bump the request counter either.
 		r.counters.addGet()
 		r.trace.record(Event{Rank: r.ID, Op: TraceGet, Peer: target, Elems: n, Msgs: int64(len(regions))})
 		// Target-side contention (optional machine behaviour): the passive
 		// target's NIC/memory bandwidth is consumed by incoming gets. Only
-		// true one-sided traffic pays it; multicast pulls (record=false)
-		// model root-driven collectives whose cost the root already carries.
+		// true one-sided traffic pays it; re-fetches (record=false) model
+		// root-driven collectives whose cost the root already carries.
 		// Recovery re-execution skips it too: post-fence charging must stay
 		// single-rank, or the charge's category on the target would depend
 		// on whether the target was still inside its own recovery phase.
@@ -121,11 +121,20 @@ func (r *Rank) Get(target int, name string, reg Region, dst []float64) (int64, e
 	return r.GetIndexed(target, name, []Region{reg}, dst)
 }
 
-// MulticastPull reads a peer's whole exposed window into dst — the data
-// plane of a collective multicast in which this rank is a destination. Pull
-// semantics are equivalent to the paper's root-initiated MPI_Ibcast here
+// MulticastPull receives elems elements of root's window from off on — the
+// data plane of a collective multicast in which this rank is a destination.
+// Pull semantics are equivalent to the paper's root-initiated MPI_Ibcast here
 // because windows are immutable during the epoch and reception is blocking
-// anyway (paper section 5.2.1). Returns the element count for charging.
+// anyway (paper section 5.2.1). It returns the buffer holding the stripe. On
+// the simulator's own transport that is a read-only view of the root's
+// window, valid until the epoch's closing barrier; through any other
+// transport — TCP, or a decorator, which must see every byte its backend
+// moves — it is a copy Read into dst(elems), which must have room for elems.
+// It also returns the applied fault seconds the pull charged to this rank's
+// SyncComm clock (leg delays and retry backoff, post straggler scaling; 0 on
+// a healthy machine), which the pipelined executor folds into the stripe's
+// completion time on its local sync-comm clock, so delayed legs push only
+// the panels that need the afflicted stripe.
 //
 // Under an attached fault injector a leg of the multicast tree can
 // straggle (extra SyncComm charged as "multicast.leg.delay") or fail, in
@@ -133,23 +142,12 @@ func (r *Rank) Get(target int, name string, reg Region, dst []float64) (int64, e
 // "multicast.retry.backoff". A leg whose failures outlast the retry budget
 // is fatal — the collective path is this machine's reliable substrate, so
 // a plan that breaks it permanently is not survivable.
-func (r *Rank) MulticastPull(root int, name string, off, elems int64, dst []float64) (int64, error) {
-	n, _, err := r.MulticastPullTimed(root, name, off, elems, dst)
-	return n, err
-}
-
-// MulticastPullTimed is MulticastPull that additionally returns the applied
-// fault seconds the pull charged to this rank's SyncComm clock (leg delays
-// and retry backoff, post straggler scaling; 0 on a healthy machine). The
-// pipelined executor folds it into the stripe's completion time on its
-// local sync-comm clock, so delayed legs push only the panels that need the
-// afflicted stripe, not the whole pipeline.
-func (r *Rank) MulticastPullTimed(root int, name string, off, elems int64, dst []float64) (int64, float64, error) {
+func (r *Rank) MulticastPull(root int, name string, off, elems int64, dst func(n int64) []float64) ([]float64, float64, error) {
 	var faultSeconds float64
 	if fi, pol := r.injection(); fi != nil {
 		for attempt := 1; ; attempt++ {
 			if err := r.failed(); err != nil {
-				return 0, faultSeconds, err
+				return nil, faultSeconds, err
 			}
 			out := fi.LegAttempt(r.ID, root, off, elems, r.Breakdown().SyncComm, attempt)
 			if out.Delay > 0 {
@@ -164,7 +162,7 @@ func (r *Rank) MulticastPullTimed(root int, name string, off, elems int64, dst [
 					l.Error("multicast leg retry budget exhausted",
 						"event", "leg.exhausted", "root", root, "attempts", attempt, "elems", elems)
 				}
-				return 0, faultSeconds, fmt.Errorf("cluster: rank %d: multicast leg from root %d failed %d attempts: %w",
+				return nil, faultSeconds, fmt.Errorf("cluster: rank %d: multicast leg from root %d failed %d attempts: %w",
 					r.ID, root, attempt, ErrRetryExhausted)
 			}
 			backoff := pol.Backoff(attempt)
@@ -177,15 +175,25 @@ func (r *Rank) MulticastPullTimed(root int, name string, off, elems int64, dst [
 			r.trace.record(Event{Rank: r.ID, Op: TraceRetry, Peer: root, Elems: elems, Msgs: 1})
 		}
 	}
-	n, err := r.getIndexed(root, name, []Region{{Off: off, Elems: elems}}, dst, false)
-	if err != nil {
-		return n, faultSeconds, err
+	if err := r.c.abortedErr(); err != nil {
+		return nil, faultSeconds, err
 	}
-	// Reclassify: the bytes moved through a collective, not a one-sided get.
-	r.counters.addOneSided(-n, -1)
-	r.counters.addCollective(n, 1)
-	r.trace.record(Event{Rank: r.ID, Op: TraceMulticast, Peer: root, Elems: n, Msgs: 1})
-	return n, faultSeconds, nil
+	reg := Region{Off: off, Elems: elems}
+	var buf []float64
+	var err error
+	if mt, ok := r.c.tr.(*memTransport); ok {
+		buf, err = mt.view(r.ID, root, name, reg)
+	} else {
+		buf = dst(elems)
+		_, err = r.c.tr.Read(r.ID, root, name, []Region{reg}, buf)
+	}
+	if err != nil {
+		return nil, faultSeconds, err
+	}
+	buf = buf[:elems:elems]
+	r.counters.addCollective(elems, 1)
+	r.trace.record(Event{Rank: r.ID, Op: TraceMulticast, Peer: root, Elems: elems, Msgs: 1})
+	return buf, faultSeconds, nil
 }
 
 // SyncFallbackPull re-fetches the given regions through the synchronous
@@ -206,7 +214,7 @@ func (r *Rank) SyncFallbackPull(target int, name string, regions []Region, dst [
 	if err != nil {
 		return n, err
 	}
-	// Reclassify as collective traffic, like MulticastPull.
+	// Reclassify as collective traffic, like a multicast pull.
 	r.counters.addOneSided(-n, -int64(len(regions)))
 	r.counters.addCollective(n, 1)
 	r.resilience.addDegradation(n)
@@ -233,7 +241,7 @@ func (r *Rank) RecoverPull(target int, name string, regions []Region, dst []floa
 	if err != nil {
 		return n, err
 	}
-	// Reclassify as collective traffic, like MulticastPull.
+	// Reclassify as collective traffic, like a multicast pull.
 	r.counters.addOneSided(-n, -int64(len(regions)))
 	r.counters.addCollective(n, 1)
 	r.resilience.addRefetched(n)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -188,7 +189,7 @@ func replayUnits(t *testing.T, prep *Prep, b *dense.Matrix, staged bool) *dense.
 		}
 		ur := newUnitRunner(prep, r, np, spmmKernel{}, ExecOptions{})
 		own := prep.Layout.ColBlock(r.ID)
-		ur.resolver = makeRowResolver(prep.Layout, r.ID, b.RowRange(own.Lo, own.Hi), recvBufs, k)
+		ur.src = rowSources{rank: r.ID, own: b.RowRange(own.Lo, own.Hi), recv: recvBufs}
 		for u := 0; u < ur.units(); u++ {
 			if err := ur.run(u, sink); err != nil {
 				return err
@@ -291,10 +292,17 @@ func TestScratchVariantsMatch(t *testing.T) {
 }
 
 // A panel's column table lists each distinct column once, in first-appearance
-// order, with every entry's slot pointing at its column; row runs split where
-// the row changes; a later panel starts a fresh list even for a column an
-// earlier one used; and the workspace resolves each listed column once.
+// order, with every entry's slot pointing at its column and each column's
+// dense row located in the own block or a received stripe; row runs split
+// where the row changes; a later panel starts a fresh list even for a column
+// an earlier one used; and the workspace points each listed column at its row.
 func TestPanelScratchResolvedTable(t *testing.T) {
+	// Two nodes over 10 columns at W=2: node 0 owns columns [0,5) (stripes
+	// 0-2), node 1 owns [5,10), whose stripe 4 is columns [7,9).
+	layout, err := NewLayout(8, 10, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	np := &NodePart{Sync: SyncMatrix{
 		PanelPtr: []int64{0, 5, 5, 8},
 		Entries: []sparse.NZ{
@@ -302,8 +310,9 @@ func TestPanelScratchResolvedTable(t *testing.T) {
 			{Row: 4, Col: 7}, {Row: 4, Col: 2}, {Row: 5, Col: 7},
 		},
 	}}
-	tab := buildPanelCols(np, 10)
+	tab := buildPanelCols(np, layout)
 	wantCols := [][]int32{{3, 7}, {}, {7, 2}}
+	wantSrc, wantOff := []int32{-1, 4, 4, -1}, []int32{3, 0, 0, 2}
 	wantSlots := []int32{0, 1, 0, 0, 1, 0, 1, 0}
 	wantRuns := [][]int64{{0, 2, 4, 5}, {}, {5, 7, 8}}
 	for p := range wantCols {
@@ -317,22 +326,25 @@ func TestPanelScratchResolvedTable(t *testing.T) {
 	if !slices.Equal(tab.slots, wantSlots) {
 		t.Fatalf("slots %v, want %v", tab.slots, wantSlots)
 	}
+	if !slices.Equal(tab.src, wantSrc) || !slices.Equal(tab.off, wantOff) {
+		t.Fatalf("sources %v offsets %v, want %v %v", tab.src, tab.off, wantSrc, wantOff)
+	}
 
+	// K=2: row c of B holds {c, -c}.
+	own := []float64{0, 0, 1, -1, 2, -2, 3, -3, 4, -4}
+	recv := make([][]float64, layout.NumStripes())
+	recv[4] = []float64{7, -7, 8, -8}
 	ws := panelScratchPool.Get().(*panelScratch)
 	defer panelScratchPool.Put(ws)
-	calls := 0
-	resolve := func(col int32) ([]float64, error) {
-		calls++
-		return []float64{float64(col)}, nil
-	}
-	if err := ws.resolveCols(tab.cols[tab.colPtr[2]:tab.colPtr[3]], resolve, 1); err != nil {
+	if err := ws.resolveCols(&tab, 2, rowSources{own: own, recv: recv}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 || ws.rows[0][0] != 7 || ws.rows[1][0] != 2 {
-		t.Fatalf("resolved %v in %d calls, want [[7] [2]] in 2", ws.rows, calls)
+	if len(ws.rows) != 2 || !slices.Equal(ws.rows[0], []float64{7, -7}) || !slices.Equal(ws.rows[1], []float64{2, -2}) {
+		t.Fatalf("resolved %v, want [[7 -7] [2 -2]]", ws.rows)
 	}
-	if err := ws.resolveCols([]int32{3}, resolve, 2); err == nil {
-		t.Fatal("a dense row shorter than K must be refused before the kernel reads it")
+	recv[4] = nil
+	if err := ws.resolveCols(&tab, 0, rowSources{own: own, recv: recv}, 2); err == nil || !strings.Contains(err.Error(), "never received") {
+		t.Fatalf("a column in a stripe that never arrived: err = %v", err)
 	}
 	ws.release()
 }

@@ -122,18 +122,24 @@ func buildSharedRows(np *NodePart) []bool {
 // panelCols is the sync panel loop's column table, in CSR form per panel p:
 //   - cols[colPtr[p]:colPtr[p+1]] are the panel's distinct columns in
 //     first-appearance order;
+//   - src[i] and off[i] say where column cols[i]'s dense row lies: row off[i]
+//     of received stripe src[i], or of the node's own column block when
+//     src[i] is -1;
 //   - slots[j] is sync entry j's index into its panel's cols run;
 //   - runs[runPtr[p]:runPtr[p+1]] are the entry indices where the panel's row
 //     runs (maximal runs of consecutive entries on one row) start, followed
 //     by the panel's end; an empty panel has none.
 //
-// The executor resolves each panel column to its dense row once per Exec and
-// hands every row run's slots to kernels.AxpyGather, so the per-nonzero work
-// is the multiply-add alone. Like deps it is a pure function of the plan,
-// built on first use and never serialized.
+// The executor resolves each panel column to its dense row once per Exec, with
+// two loads from the table, and hands every row run's slots to
+// kernels.AxpyGather, so the per-nonzero work is the multiply-add alone. Like
+// deps it is a pure function of the plan, built on first use and never
+// serialized.
 type panelCols struct {
 	colPtr []int64
 	cols   []int32
+	src    []int32
+	off    []int32
 	slots  []int32
 	runPtr []int64
 	runs   []int64
@@ -143,12 +149,13 @@ type panelCols struct {
 // Only a run that computes calls it, so timing-only runs never pay for it.
 // Safe for concurrent Exec calls on one Prep.
 func (np *NodePart) panelCols(layout *Layout) *panelCols {
-	np.colsOnce.Do(func() { np.colsCache = buildPanelCols(np, layout.NumCols) })
+	np.colsOnce.Do(func() { np.colsCache = buildPanelCols(np, layout) })
 	return &np.colsCache
 }
 
-func buildPanelCols(np *NodePart, numCols int32) panelCols {
+func buildPanelCols(np *NodePart, layout *Layout) panelCols {
 	s := &np.Sync
+	own := layout.ColBlock(np.Rank)
 	numPanels := s.NumPanels()
 	t := panelCols{
 		colPtr: make([]int64, numPanels+1),
@@ -158,7 +165,7 @@ func buildPanelCols(np *NodePart, numCols int32) panelCols {
 	// pos[c] is column c's latest index in cols. Indices only grow, so c is
 	// already listed for the current panel exactly when pos[c] >= base: the
 	// position doubles as the epoch stamp and nothing is ever cleared.
-	pos := make([]int64, numCols)
+	pos := make([]int64, layout.NumCols)
 	for i := range pos {
 		pos[i] = -1
 	}
@@ -173,6 +180,14 @@ func buildPanelCols(np *NodePart, numCols int32) panelCols {
 			if pos[e.Col] < base {
 				pos[e.Col] = int64(len(t.cols))
 				t.cols = append(t.cols, e.Col)
+				src, off := int32(-1), e.Col-int32(own.Lo)
+				if !own.Contains(int(e.Col)) {
+					src = layout.StripeOfCol(e.Col)
+					lo, _ := layout.StripeCols(src)
+					off = e.Col - lo
+				}
+				t.src = append(t.src, src)
+				t.off = append(t.off, off)
 			}
 			t.slots[j] = int32(pos[e.Col] - base)
 		}

@@ -364,7 +364,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, kn 
 	panelCost := make([]float64, nPanels)
 	var panelCursor atomic.Int64
 	own := layout.ColBlock(r.ID)
-	resolver := makeRowResolver(layout, r.ID, b.RowRange(own.Lo, own.Hi), recvBufs, k)
+	src := rowSources{rank: r.ID, own: b.RowRange(own.Lo, own.Hi), recv: recvBufs}
 	var panelWg sync.WaitGroup
 	var panelErr error
 	var panelMu sync.Mutex
@@ -382,7 +382,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, kn 
 			metricPoolPanelGet.Inc()
 			ws := panelScratchPool.Get().(*panelScratch)
 			defer func() {
-				ws.release() // drop B/arena row references before pooling
+				ws.release() // drop B/window/arena row references before pooling
 				panelScratchPool.Put(ws)
 			}()
 			for {
@@ -400,7 +400,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutput, kn 
 					}
 				}
 				metricSyncPanels.Inc()
-				cost, err := processSyncRowPanel(prep, r, np, out, kn, resolver, ws, pi, opts.SkipCompute, opts.sampling())
+				cost, err := processSyncRowPanel(prep, r, np, out, kn, src, ws, pi, opts.SkipCompute, opts.sampling())
 				if err != nil {
 					setPanelErr(err)
 					return
@@ -514,8 +514,10 @@ func pipelineOverlap(pl *syncPipeline, deps *panelDeps, panelCost []float64) flo
 
 // syncTransfers receives every dense stripe this node needs through
 // collective multicasts and charges both receiver-side and (for stripes this
-// node roots) root-side collective time. Receive buffers are sliced out of
-// the caller's arena, so steady-state runs allocate nothing here.
+// node roots) root-side collective time. recvBufs[sid] becomes a view of the
+// root's window on the simulator (see Rank.MulticastPull), and otherwise a
+// copy sliced out of the caller's arena, so steady-state runs allocate
+// nothing here.
 //
 // Each stripe is published through its pipeline gate the moment it lands,
 // stamped with the sync thread's local comm clock (applied charges only: root
@@ -560,21 +562,27 @@ func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float
 		colLo, colHi := layout.StripeCols(sid)
 		total += int64(colHi-colLo) * int64(k)
 	}
-	buf := arena.grab(total)
+	var buf []float64 // arena space, grabbed at the first stripe copied
+	take := func(n int64) []float64 {
+		if buf == nil {
+			buf = arena.grab(total)
+		}
+		dst := buf[:n:n]
+		buf = buf[n:]
+		return dst
+	}
 	for i, sid := range np.RecvStripes {
 		colLo, colHi := layout.StripeCols(sid)
 		owner := layout.StripeOwner(sid)
 		ownerBlock := layout.ColBlock(owner)
 		elems := int64(colHi-colLo) * int64(k)
-		dst := buf[:elems:elems]
-		buf = buf[elems:]
 		off := int64(colLo-int32(ownerBlock.Lo)) * int64(k)
-		_, faultSeconds, err := r.MulticastPullTimed(owner, "B", off, elems, dst)
+		stripe, faultSeconds, err := r.MulticastPull(owner, "B", off, elems, take)
 		if err != nil {
 			return err
 		}
 		commClock += faultSeconds
-		recvBufs[sid] = dst
+		recvBufs[sid] = stripe
 		commClock += r.ChargeOpTimed(cluster.SyncComm, "multicast.recv", net.MulticastCost(elems, len(prep.Dests[sid])))
 		pl.publish(i, commClock)
 		published = i + 1
@@ -586,35 +594,10 @@ func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float
 	return nil
 }
 
-// rowResolver returns the dense B row for a global column, either from the
-// node's own block or from a received dense stripe.
-type rowResolver func(col int32) ([]float64, error)
-
-// makeRowResolver resolves rank's columns: those of its own column block
-// against own, the block's rows (k elements each, from its first column on),
-// and every other column against its received stripe in recvBufs.
-func makeRowResolver(layout *Layout, rank int, own []float64, recvBufs [][]float64, k int) rowResolver {
-	block := layout.ColBlock(rank)
-	return func(col int32) ([]float64, error) {
-		if block.Contains(int(col)) {
-			off := (int(col) - block.Lo) * k
-			return own[off : off+k], nil
-		}
-		sid := layout.StripeOfCol(col)
-		buf := recvBufs[sid]
-		if buf == nil {
-			return nil, fmt.Errorf("core: rank %d: dense stripe %d for column %d was never received", rank, sid, col)
-		}
-		colLo, _ := layout.StripeCols(sid)
-		off := int(col-colLo) * k
-		return buf[off : off+k], nil
-	}
-}
-
 // processSyncRowPanel is Algorithm 2: compute one row panel with kn's
 // arithmetic and charge it. It returns the panel's applied SyncComp charge
 // for the pipeline's overlap accounting.
-func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, kn unitKernel, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
+func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, kn unitKernel, src rowSources, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
 	params := prep.Params
 	net := r.Net()
 	k := params.K
@@ -623,7 +606,7 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 		return 0, nil
 	}
 	if !skipCompute {
-		if err := kn.panel(prep.Layout, np, out, resolve, ws, n, k, smp); err != nil {
+		if err := kn.panel(prep.Layout, np, out, src, ws, n, k, smp); err != nil {
 			return 0, err
 		}
 	}
@@ -640,7 +623,7 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 // SDDMM (DESIGN.md section 15). Both methods write only through out.
 type unitKernel interface {
 	// panel computes sync row panel n of np.
-	panel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, smp sampling) error
+	panel(layout *Layout, np *NodePart, out accumSink, src rowSources, ws *panelScratch, n, k int, smp sampling) error
 	// stripe computes async stripe si of np, whose distinct columns are
 	// cols; the dense row of cols[i] is ws.row(rowRef[i], k).
 	stripe(np *NodePart, si int, cols, rowRef []int32, out accumSink, ws *asyncScratch, k int, smp sampling)
@@ -653,13 +636,13 @@ type spmmKernel struct{}
 // straight into C; a row that async stripes also write — and every row when
 // out is a staged sink — is summed in a thread-local buffer and flushed with
 // one atomic pass. Each of the panel's distinct columns is resolved to its
-// dense B row once, into the workspace's row table; then every row run is one
-// kernels.AxpyGather call over the run's entries and their plan-derived slots
-// (see panelCols), which rounds exactly like one Axpy per entry in entry
-// order.
-func (spmmKernel) panel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, smp sampling) error {
+// dense B row once, through the plan's column table, into the workspace's row
+// table; then every row run is one kernels.AxpyGather call over the run's
+// entries and their plan-derived slots (see panelCols), which rounds exactly
+// like one Axpy per entry in entry order.
+func (spmmKernel) panel(layout *Layout, np *NodePart, out accumSink, src rowSources, ws *panelScratch, n, k int, smp sampling) error {
 	t := np.panelCols(layout)
-	if err := ws.resolveCols(t.cols[t.colPtr[n]:t.colPtr[n+1]], resolve, k); err != nil {
+	if err := ws.resolveCols(t, n, src, k); err != nil {
 		return err
 	}
 	base := int(np.RowLo) * k

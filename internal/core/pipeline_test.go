@@ -121,15 +121,17 @@ func TestPanelDepsCorrect(t *testing.T) {
 }
 
 // TestPanelScratchRelease is the scratch-retention regression: a pooled
-// panelScratch must not keep dense-row slice headers (into receive arenas,
-// B, or cache entries) alive past its return to the pool. resolveCols only
-// truncates the row table, so without release the references survive in the
-// backing array.
+// panelScratch must not keep dense-row slice headers (into B, a root's
+// window, or a receive arena) alive past its return to the pool. resolveCols
+// only truncates the row table, so without release the references survive in
+// the backing array.
 func TestPanelScratchRelease(t *testing.T) {
 	ws := &panelScratch{}
-	rows := [][]float64{make([]float64, 4), make([]float64, 4), make([]float64, 4)}
-	resolve := func(c int32) ([]float64, error) { return rows[c], nil }
-	if err := ws.resolveCols([]int32{0, 1, 2}, resolve, 4); err != nil {
+	// Panel 0 reads own-block rows 0-2, panel 1 row 1 again.
+	tab := &panelCols{colPtr: []int64{0, 3, 4}, cols: []int32{0, 1, 2, 1}, src: []int32{-1, -1, -1, -1}, off: []int32{0, 1, 2, 1}}
+	own := make([]float64, 12)
+	src := rowSources{own: own}
+	if err := ws.resolveCols(tab, 0, src, 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(ws.rows) != 3 {
@@ -151,10 +153,10 @@ func TestPanelScratchRelease(t *testing.T) {
 
 	// The scratch must stay usable: a later panel on the same pooled object
 	// resolves fresh rows correctly.
-	if err := ws.resolveCols([]int32{1}, resolve, 4); err != nil {
+	if err := ws.resolveCols(tab, 1, src, 4); err != nil {
 		t.Fatal(err)
 	}
-	if &ws.rows[0][0] != &rows[1][0] {
+	if &ws.rows[0][0] != &own[4] {
 		t.Fatal("resolved wrong row after a release/resolve cycle")
 	}
 }

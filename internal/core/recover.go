@@ -146,15 +146,15 @@ func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *liveOutput
 // sequence — which fixes where a crash lands and what a replay reproduces —
 // must not depend on earlier runs' state.
 type unitRunner struct {
-	prep     *Prep
-	r        *cluster.Rank
-	np       *NodePart
-	kn       unitKernel
-	opts     ExecOptions
-	batches  []asyncBatch // units [0, len(batches)); a pure function of the plan
-	resolver rowResolver  // dense rows for the panel units
-	aws      asyncScratch
-	pws      panelScratch
+	prep    *Prep
+	r       *cluster.Rank
+	np      *NodePart
+	kn      unitKernel
+	opts    ExecOptions
+	batches []asyncBatch // units [0, len(batches)); a pure function of the plan
+	src     rowSources   // dense rows for the panel units
+	aws     asyncScratch
+	pws     panelScratch
 }
 
 func newUnitRunner(prep *Prep, r *cluster.Rank, np *NodePart, kn unitKernel, opts ExecOptions) *unitRunner {
@@ -170,7 +170,7 @@ func (ur *unitRunner) run(u int, sink accumSink) error {
 	if u < len(ur.batches) {
 		return processAsyncBatch(ur.prep, ur.r, ur.np, sink, ur.kn, &ur.aws, ur.batches[u], nil, ur.opts.SkipCompute, smp)
 	}
-	_, err := processSyncRowPanel(ur.prep, ur.r, ur.np, sink, ur.kn, ur.resolver, &ur.pws, u-len(ur.batches), ur.opts.SkipCompute, smp)
+	_, err := processSyncRowPanel(ur.prep, ur.r, ur.np, sink, ur.kn, ur.src, &ur.pws, u-len(ur.batches), ur.opts.SkipCompute, smp)
 	return err
 }
 
@@ -236,7 +236,7 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *liveOutpu
 
 	ur := newUnitRunner(prep, r, np, kn, opts)
 	own := prep.Layout.ColBlock(r.ID)
-	ur.resolver = makeRowResolver(prep.Layout, r.ID, b.RowRange(own.Lo, own.Hi), recvBufs, k)
+	ur.src = rowSources{rank: r.ID, own: b.RowRange(own.Lo, own.Hi), recv: recvBufs}
 	total := ur.units()
 	for u := 0; u < total; u++ {
 		err := ur.run(u, sink)
@@ -338,7 +338,7 @@ func recoverOne(prep *Prep, r *cluster.Rank, out *liveOutput, kn unitKernel, opt
 	for j := myPos; j < todo; j += len(live) {
 		if d.Units+j >= nAsync {
 			var rerr error
-			if ur.resolver, rerr = buildRecoveryResolver(prep, r, d, live, myPos, nAsync, todo); rerr != nil {
+			if ur.src, rerr = refetchRowSources(prep, r, d, live, myPos, nAsync, todo); rerr != nil {
 				return abort(rerr)
 			}
 			break
@@ -365,13 +365,13 @@ func recoverOne(prep *Prep, r *cluster.Rank, out *liveOutput, kn unitKernel, opt
 	return stripes, panels, nil
 }
 
-// buildRecoveryResolver re-fetches the dense inputs a dead rank's row panels
+// refetchRowSources re-fetches the dense inputs a dead rank's row panels
 // need — its own B column block and the received stripes referenced by the
-// panels assigned to this survivor — and returns a rowResolver over the
-// local copies. Traffic moves through RecoverPull (counted as collective,
+// panels assigned to this survivor — and returns them as the panels' row
+// sources. Traffic moves through RecoverPull (counted as collective,
 // attributed to RefetchedElems) and each pull is charged one single-
 // destination multicast to the Recovery clock.
-func buildRecoveryResolver(prep *Prep, r *cluster.Rank, d cluster.DeathRecord, live []int, myPos, nAsync, todo int) (rowResolver, error) {
+func refetchRowSources(prep *Prep, r *cluster.Rank, d cluster.DeathRecord, live []int, myPos, nAsync, todo int) (rowSources, error) {
 	layout, k := prep.Layout, prep.Params.K
 	np := &prep.Nodes[d.Rank]
 	net := r.Net()
@@ -380,7 +380,7 @@ func buildRecoveryResolver(prep *Prep, r *cluster.Rank, d cluster.DeathRecord, l
 	ownElems := int64(ownBlock.Len()) * int64(k)
 	ownBuf := make([]float64, ownElems)
 	if _, err := r.RecoverPull(d.Rank, "B", []cluster.Region{{Off: 0, Elems: ownElems}}, ownBuf); err != nil {
-		return nil, err
+		return rowSources{}, err
 	}
 	r.ChargeOp(cluster.Recovery, "recover.refetch", net.MulticastCost(ownElems, 1))
 
@@ -410,12 +410,12 @@ func buildRecoveryResolver(prep *Prep, r *cluster.Rank, d cluster.DeathRecord, l
 		dst := make([]float64, elems)
 		off := int64(colLo-int32(ownerBlock.Lo)) * int64(k)
 		if _, err := r.RecoverPull(owner, "B", []cluster.Region{{Off: off, Elems: elems}}, dst); err != nil {
-			return nil, err
+			return rowSources{}, err
 		}
 		r.ChargeOp(cluster.Recovery, "recover.refetch", net.MulticastCost(elems, 1))
 		recvBufs[sid] = dst
 	}
-	return makeRowResolver(layout, d.Rank, ownBuf, recvBufs, k), nil
+	return rowSources{rank: d.Rank, own: ownBuf, recv: recvBufs}, nil
 }
 
 // liveAfter returns the sorted rank ids not present in the death list.

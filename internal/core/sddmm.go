@@ -93,9 +93,9 @@ type sddmmKernel struct {
 	base []int // len P+1
 }
 
-func (kn sddmmKernel) panel(layout *Layout, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n, k int, _ sampling) error {
+func (kn sddmmKernel) panel(layout *Layout, np *NodePart, out accumSink, src rowSources, ws *panelScratch, n, k int, _ sampling) error {
 	t := np.panelCols(layout)
-	if err := ws.resolveCols(t.cols[t.colPtr[n]:t.colPtr[n+1]], resolve, k); err != nil {
+	if err := ws.resolveCols(t, n, src, k); err != nil {
 		return err
 	}
 	lo, hi := int(np.Sync.PanelPtr[n]), int(np.Sync.PanelPtr[n+1])

@@ -24,8 +24,8 @@ import (
 // regions, or float64 copies — crows holds copies of cached rows, rowRef
 // holds indices, never slice headers into foreign arrays), so parking one in
 // the pool pins only its own capacity. That property is what lets it skip a
-// release step; panelScratch, whose table holds slice headers aliasing recv
-// arenas, B, and cache entries, cannot (see panelScratch.release).
+// release step; panelScratch, whose table holds slice headers aliasing B, a
+// root's window, or a recv arena, cannot (see panelScratch.release).
 type asyncScratch struct {
 	cols    []int32
 	bufRow  []int32
@@ -61,8 +61,10 @@ func (ws *asyncScratch) row(ref int32, k int) []float64 {
 	return ws.crows[int(^ref)*k : int(^ref)*k+k]
 }
 
-// recvArena is the pooled backing store for a node's dense-stripe receive
-// buffers: syncTransfers slices each stripe's buffer out of one grown-once
+// recvArena is the pooled backing store for the dense stripes a node receives
+// by copy, over a transport that cannot alias the root's window (TCP); on the
+// simulator every stripe arrives as a view and no arena space is taken.
+// syncTransfers slices each copied stripe's buffer out of one grown-once
 // allocation instead of a per-stripe make, so repeated runs allocate nothing
 // steady-state (mirroring the async/panel scratch pools). The arena is
 // returned to the pool only after the run's panel workers — the buffers'
@@ -95,35 +97,46 @@ type panelScratch struct {
 
 var panelScratchPool = sync.Pool{New: func() any { return new(panelScratch) }}
 
-// resolveCols points rows[i] at the dense B row of cols[i], k elements each,
-// resolving every column through resolve once, and sizes the accumulator.
-func (ws *panelScratch) resolveCols(cols []int32, resolve rowResolver, k int) error {
+// rowSources are the dense inputs a node's sync panels read B rows from: own
+// holds its column block's rows (k elements each, from the block's first
+// column on), and recv[sid] the stripe sid it received — a view of the
+// root's window or a copy — or nil where none arrived.
+type rowSources struct {
+	rank int
+	own  []float64
+	recv [][]float64
+}
+
+// resolveCols points rows[i] at the dense B row of panel n's i-th column in t,
+// k elements each, at the source and offset the plan recorded for it, and
+// sizes the accumulator.
+func (ws *panelScratch) resolveCols(t *panelCols, n int, src rowSources, k int) error {
 	if cap(ws.acc) < k {
 		ws.acc = make([]float64, k)
 	}
 	ws.acc = ws.acc[:k]
 	ws.rows = ws.rows[:0]
-	for _, c := range cols {
-		brow, err := resolve(c)
-		if err != nil {
-			return err
+	for i := t.colPtr[n]; i < t.colPtr[n+1]; i++ {
+		buf := src.own
+		if sid := t.src[i]; sid >= 0 {
+			if buf = src.recv[sid]; buf == nil {
+				return fmt.Errorf("core: rank %d: dense stripe %d for column %d was never received", src.rank, sid, t.cols[i])
+			}
 		}
-		if len(brow) < k {
-			// AxpyGather's assembly reads k elements of every row unchecked.
-			return fmt.Errorf("core: dense row for column %d has %d elements, want %d", c, len(brow), k)
-		}
-		ws.rows = append(ws.rows, brow)
+		off := int(t.off[i]) * k
+		ws.rows = append(ws.rows, buf[off:off+k])
 	}
 	return nil
 }
 
 // release drops every row reference the table accumulated so the scratch can
 // sit in the pool without pinning foreign memory. The table's entries are
-// slice headers aliasing recv-arena buffers, rows of the dense input B, and
-// cross-run cache entries; resolveCols only truncates (ws.rows[:0]), which
-// keeps those pointers live in the backing array past Put — a pooled scratch
-// would otherwise retain an entire receive arena across runs. Capacity is
-// kept; only the references are cleared.
+// slice headers aliasing rows of the dense input B — the node's own block, or
+// a root's exposed window read in place — and recv-arena buffers;
+// resolveCols only truncates (ws.rows[:0]), which keeps those pointers live
+// in the backing array past Put — a pooled scratch would otherwise retain a
+// whole B or receive arena across runs. Capacity is kept; only the
+// references are cleared.
 func (ws *panelScratch) release() {
 	clear(ws.rows[:cap(ws.rows)])
 	ws.rows = ws.rows[:0]

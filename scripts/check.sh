@@ -40,13 +40,17 @@ go test -race ./...
 echo "== go test -race ./... (TWOFACE_FORCE_GENERIC=1)"
 TWOFACE_FORCE_GENERIC=1 go test -race ./...
 
-echo "== single-writer rows vs shared rows, SDDMM's single-writer ranges, and the pinned-worker ledger (-race -count=10, both dispatch modes)"
+echo "== single-writer rows vs shared rows, SDDMM's single-writer ranges, multicast views vs copies, and the pinned-worker ledger (-race -count=10, both dispatch modes)"
 # C is its own accumulator: panel workers sum single-writer rows in place
 # while async workers CAS into the rows they share. The forced-generic pass
-# is the one in which the race detector can see the in-place stores.
+# is the one in which the race detector can see the in-place stores. On the
+# simulator, panels read the root's window in place, memory shared across
+# rank goroutines; the view tests hold that path to the copying one.
 for generic in "" 1; do
     TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
-        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical|TestSyncRowsMatchChainedAxpy|TestSDDMMBitIdenticalToReference)$' ./internal/core
+        -run '^(TestExecRowMixesMatchReference|TestLiveAndStagedSinksBitIdentical|TestSyncRowsMatchChainedAxpy|TestSDDMMBitIdenticalToReference|TestMulticastViewMatchesCopy|TestMulticastViewMatchesCopyUnderFaults)$' ./internal/core
+    TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
+        -run '^(TestMulticastPull|TestMulticastPullThroughDecoratorCopies|TestMemTransportViewRefusals)$' ./internal/cluster
     TWOFACE_FORCE_GENERIC=$generic go test -race -count=10 \
         -run '^TestInstrumentationOffBitIdentical$' .
 done
@@ -73,6 +77,16 @@ go run ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface -verify=false \
 grep -q '"traceEvents"' "$tmp/run.trace.json"
 grep -q '"go_version"' "$tmp/run.json"
 grep -q '"modeled_seconds"' "$tmp/run.json"
+
+echo "== reproduction reference (results_reference.txt regenerates byte for byte)"
+# The paper's tables and figures as this code reproduces them. Line 1 of the
+# file is the command that wrote the rest; ~100 s and ~3 GB peak RSS.
+go build -o "$tmp/twoface-bench" ./cmd/twoface-bench
+"$tmp/twoface-bench" -exp all -scale 0.25 >"$tmp/reference.txt"
+tail -n +2 results_reference.txt | diff - "$tmp/reference.txt" || {
+    echo "results_reference.txt no longer reproduces (diff above: file vs this build)" >&2
+    exit 1
+}
 
 echo "== live ops smoke (-listen endpoint scrapeable during a run)"
 go build -o "$tmp/twoface-run" ./cmd/twoface-run
