@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"hash/maphash"
 	"math"
 	"sync"
 )
@@ -20,8 +21,8 @@ import (
 // exact identity: seed-addressed operands key on the seed itself (the
 // server materializes the operand deterministically, so seed equality is
 // operand equality), and inline/octet-stream operands key on a full-content
-// FNV-1a hash over every element, with a bitwise comparison against the
-// leader's operand before a follower may join. A full-hash collision
+// hash over every byte, with a bitwise comparison against the leader's
+// operand before a follower may join. A full-hash collision
 // between unequal operands degrades to solo execution, never to sharing.
 //
 // Leader-specific failures do not poison the cohort: when the leader's
@@ -105,20 +106,16 @@ func (f *flight) followerCount() int64 {
 	return f.followers
 }
 
-// operandHash is the coalescing identity hash for inline operands: FNV-1a
-// over the bit pattern of every element. Unlike the row cache's strided
-// sample it covers the whole buffer, so two operands differing in any
-// element hash apart (modulo 64-bit collisions, which sameOperand catches).
+// operandSeed keys operandHash for the life of the process.
+var operandSeed = maphash.MakeSeed()
+
+// operandHash is the coalescing identity hash for inline operands:
+// hash/maphash over the bytes of every element, at memory speed. Unlike the
+// row cache's strided sample it covers the whole buffer, so two operands
+// differing in any bit hash apart (modulo 64-bit collisions, which
+// sameOperand catches).
 func operandHash(data []float64) uint64 {
-	var h uint64 = 14695981039346656037 // FNV offset basis
-	for _, v := range data {
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (bits >> s) & 0xff
-			h *= 1099511628211 // FNV prime
-		}
-	}
-	return h
+	return maphash.Bytes(operandSeed, floatBytes(data))
 }
 
 // sameOperand reports bitwise equality of two operands (NaN patterns

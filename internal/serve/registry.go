@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 
@@ -92,6 +93,19 @@ func (r *Registry) Get(name string) *Resident {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.plans[name]
+}
+
+// resolve returns the resident a request names: 400 when it names none,
+// 404 when no resident has that name.
+func (r *Registry) resolve(name string) (*Resident, error) {
+	if name == "" {
+		return nil, badRequest("missing plan name")
+	}
+	if res := r.Get(name); res != nil {
+		return res, nil
+	}
+	return nil, &httpError{status: http.StatusNotFound,
+		msg: fmt.Sprintf("unknown plan %q (have %v)", name, r.Names())}
 }
 
 // Names returns the registered plan names, sorted.

@@ -16,14 +16,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"math"
 	"mime"
 	"net/http"
 	"strconv"
@@ -428,18 +427,19 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // materializes its operand. Errors here are the client's fault (4xx) and do
 // not enter the outcome accounting.
 func (s *Server) parseRequest(r *http.Request) (*parsedRequest, error) {
-	var req MultiplyRequest
+	var (
+		req      MultiplyRequest
+		resident *Resident
+		err      error
+	)
 	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	binaryB := false
 	// Compare the media type only, so parameterized headers like
 	// "application/octet-stream; charset=binary" still select binary mode.
 	mediaType := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(mediaType); err == nil {
 		mediaType = mt
 	}
-	switch {
-	case mediaType == "application/octet-stream":
-		binaryB = true
+	if mediaType == "application/octet-stream" {
 		q := r.URL.Query()
 		req.Plan = q.Get("plan")
 		req.Tenant = q.Get("tenant")
@@ -462,52 +462,30 @@ func (s *Server) parseRequest(r *http.Request) (*parsedRequest, error) {
 			}
 			req.QueueTimeoutMillis = n
 		}
-	default:
-		dec := json.NewDecoder(body)
-		if err := dec.Decode(&req); err != nil {
-			if maxed := maxBytesError(err); maxed != nil {
-				return nil, maxed
-			}
-			return nil, badRequest("bad request body: %v", err)
+		if resident, err = s.plans.resolve(req.Plan); err != nil {
+			return nil, err
+		}
+		req.B = make([]float64, resident.Plan.NumCols()*resident.K)
+		if err := readOctetOperand(body, r.ContentLength, req.B, binary.NativeEndian); err != nil {
+			return nil, err
+		}
+	} else {
+		// The buffer doubles as bytes arrive, so a declared Content-Length
+		// the client never sends allocates nothing.
+		var raw bytes.Buffer
+		if _, err := raw.ReadFrom(body); err != nil {
+			return nil, readError(err)
+		}
+		if req, resident, err = decodeJSONRequest(raw.Bytes(), s.plans); err != nil {
+			return nil, err
 		}
 	}
-	if req.Plan == "" {
-		return nil, badRequest("missing plan name")
-	}
-	resident := s.plans.Get(req.Plan)
-	if resident == nil {
-		return nil, &httpError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("unknown plan %q (have %v)", req.Plan, s.plans.Names())}
-	}
-	wantElems := resident.Plan.NumCols() * resident.K
 
 	pr := &parsedRequest{req: req, resident: resident}
 	switch {
-	case binaryB:
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			if maxed := maxBytesError(err); maxed != nil {
-				return nil, maxed
-			}
-			return nil, badRequest("reading body: %v", err)
-		}
-		if len(raw) != wantElems*8 {
-			return nil, badRequest("binary operand is %d bytes, want %d (%d x %d float64)",
-				len(raw), wantElems*8, resident.Plan.NumCols(), resident.K)
-		}
-		data := make([]float64, wantElems)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-		pr.b = &twoface.DenseMatrix{Rows: resident.Plan.NumCols(), Cols: resident.K, Data: data}
-		pr.bytes = int64(len(raw))
 	case req.B != nil && req.Seed != nil:
 		return nil, badRequest("give b or seed, not both")
 	case req.B != nil:
-		if len(req.B) != wantElems {
-			return nil, badRequest("operand has %d elements, want %d (%d x %d)",
-				len(req.B), wantElems, resident.Plan.NumCols(), resident.K)
-		}
 		pr.b = &twoface.DenseMatrix{Rows: resident.Plan.NumCols(), Cols: resident.K, Data: req.B}
 		pr.bytes = int64(8 * len(req.B))
 	case req.Seed != nil:
@@ -519,9 +497,9 @@ func (s *Server) parseRequest(r *http.Request) (*parsedRequest, error) {
 	}
 	// Exact-identity coalescing key: the seed addresses a deterministic
 	// server-materialized operand, so seed equality is operand equality;
-	// inline operands hash every element (and join confirms bitwise
-	// equality against the leader — see coalesce.go).
-	if req.Seed != nil && !binaryB {
+	// inline operands hash every byte (and join confirms bitwise equality
+	// against the leader — see coalesce.go).
+	if req.Seed != nil {
 		pr.key = flightKey{plan: resident.Name, seeded: true, id: *req.Seed, elems: len(pr.b.Data)}
 	} else {
 		pr.key = flightKey{plan: resident.Name, id: operandHash(pr.b.Data), elems: len(pr.b.Data)}

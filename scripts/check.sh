@@ -28,17 +28,25 @@ echo "== GOOS=linux GOARCH=riscv64 go build ./... (no-SIMD dispatch compiles)"
 # AxpyGather falls back to its Axpy2-pairs loop.
 GOOS=linux GOARCH=riscv64 go build ./...
 
-echo "== GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp (big-endian refusal compiles)"
+echo "== GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp ./internal/serve (big-endian paths compile)"
 # The TCP backend sends float64s from memory, so tcp.New refuses a big-endian
-# host instead of keeping a converting codec; this keeps that refusal (and
-# the unsafeptr pass over the byte view) building where it would fire.
-GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp
+# host instead of keeping a converting codec; the serve daemon reads octet
+# operands into memory and swaps them in place there. This keeps the refusal,
+# the swap, and the unsafeptr pass over both byte views building where they
+# would fire.
+GOOS=linux GOARCH=s390x go vet ./internal/transport/tcp ./internal/serve
 
 echo "== go test -race ./... (SIMD dispatch)"
 go test -race ./...
 
 echo "== go test -race ./... (TWOFACE_FORCE_GENERIC=1)"
-TWOFACE_FORCE_GENERIC=1 go test -race ./...
+# internal/kernels reads the variable at package initialisation, which the
+# test cache does not record: without -count=1 this pass replays the SIMD
+# pass's cached results.
+TWOFACE_FORCE_GENERIC=1 go test -race -count=1 ./...
+
+echo "== JSON ingress fuzz smoke (scanner vs encoding/json, 10 s)"
+go test -run '^$' -fuzz '^FuzzDecodeMultiplyRequest$' -fuzztime 10s ./internal/serve
 
 echo "== single-writer rows vs shared rows, SDDMM's single-writer ranges, multicast views vs copies, and the pinned-worker ledger (-race -count=10, both dispatch modes)"
 # C is its own accumulator: panel workers sum single-writer rows in place
