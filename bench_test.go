@@ -1,4 +1,4 @@
-package twoface
+package twoface_test
 
 // Benchmark harness: one testing.B target per table and figure of the
 // paper's evaluation (see DESIGN.md's experiment index), plus ablation
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"twoface"
 	"twoface/internal/atomicfloat"
 	"twoface/internal/baselines"
 	"twoface/internal/cluster"
@@ -30,7 +31,7 @@ import (
 )
 
 func newCluster(cfg harness.Config) (*cluster.Cluster, error) {
-	return cluster.New(cfg.P, cfg.Net())
+	return cluster.New(cfg.Nodes, cfg.Net())
 }
 
 func benchConfig() harness.Config {
@@ -46,7 +47,7 @@ func benchConfig() harness.Config {
 			p = v
 		}
 	}
-	return harness.Config{Scale: scale, P: p, Seed: 42, Workers: 2}
+	return harness.Config{Scale: scale, Seed: 42, Options: twoface.Options{Nodes: p, Workers: 2, TimingOnly: true}}
 }
 
 // Workloads are cached across benchmarks: generating friendster's millions
@@ -195,7 +196,7 @@ func runTwoFaceModeled(b *testing.B, w *harness.Workload, k int, mutate func(*co
 	b.Helper()
 	cfg := benchConfig()
 	params := core.Params{
-		P: cfg.P, K: k, W: w.W,
+		P: cfg.Nodes, K: k, W: w.W,
 		Coef:           cfg.Coef(),
 		MemBudgetElems: cfg.MemBudget(),
 	}
@@ -302,7 +303,7 @@ func BenchmarkAblation_Sampling(b *testing.B) {
 		b.Run(fmt.Sprintf("keep=%.1f", keep), func(b *testing.B) {
 			w := workload(b, "mawi")
 			cfg := benchConfig()
-			params := core.Params{P: cfg.P, K: 128, W: w.W, Coef: cfg.Coef(), MemBudgetElems: cfg.MemBudget()}
+			params := core.Params{P: cfg.Nodes, K: 128, W: w.W, Coef: cfg.Coef(), MemBudgetElems: cfg.MemBudget()}
 			prep, err := core.Preprocess(w.A, params)
 			if err != nil {
 				b.Fatal(err)
@@ -403,7 +404,7 @@ func BenchmarkAblation_TargetContention(b *testing.B) {
 			net := cfg.Net()
 			net.TargetContention = f
 			for i := 0; i < b.N; i++ {
-				clu, err := cluster.New(cfg.P, net)
+				clu, err := cluster.New(cfg.Nodes, net)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -421,8 +422,8 @@ func BenchmarkAblation_TargetContention(b *testing.B) {
 
 // BenchmarkKernelLocalSpMM measures the reference CSR kernel.
 func BenchmarkKernelLocalSpMM(b *testing.B) {
-	a := Generate("stokes", 0.05, 1)
-	bm := RandomDense(int(a.NumCols), 32, 2)
+	a := twoface.Generate("stokes", 0.05, 1)
+	bm := twoface.RandomDense(int(a.NumCols), 32, 2)
 	csr := a.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -436,10 +437,10 @@ func BenchmarkKernelLocalSpMM(b *testing.B) {
 // BenchmarkKernelTwoFaceExec measures a full Two-Face SpMM with real
 // arithmetic on a small workload.
 func BenchmarkKernelTwoFaceExec(b *testing.B) {
-	a := Generate("web", 0.05, 1)
+	a := twoface.Generate("web", 0.05, 1)
 	k := 32
-	bm := RandomDense(int(a.NumCols), k, 2)
-	sys, err := New(Options{Nodes: 4, DenseColumns: k})
+	bm := twoface.RandomDense(int(a.NumCols), k, 2)
+	sys, err := twoface.New(twoface.Options{Nodes: 4, DenseColumns: k})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,16 +458,16 @@ func BenchmarkKernelTwoFaceExec(b *testing.B) {
 
 // BenchmarkKernelDenseShift measures the DS2 baseline with real arithmetic.
 func BenchmarkKernelDenseShift(b *testing.B) {
-	a := Generate("web", 0.05, 1)
+	a := twoface.Generate("web", 0.05, 1)
 	k := 32
-	bm := RandomDense(int(a.NumCols), k, 2)
-	sys, err := New(Options{Nodes: 4, DenseColumns: k})
+	bm := twoface.RandomDense(int(a.NumCols), k, 2)
+	sys, err := twoface.New(twoface.Options{Nodes: 4, DenseColumns: k})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.RunBaseline(DenseShift2, a, bm); err != nil {
+		if _, err := sys.RunBaseline(twoface.DenseShift2, a, bm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -488,8 +489,8 @@ var benchKs = []int{32, 128, 512}
 func BenchmarkKernelAxpy(b *testing.B) {
 	for _, k := range benchKs {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			x := RandomDense(1, k, 1).Data
-			y := RandomDense(1, k, 2).Data
+			x := twoface.RandomDense(1, k, 1).Data
+			y := twoface.RandomDense(1, k, 2).Data
 			b.ReportAllocs()
 			b.SetBytes(int64(16 * k))
 			b.ResetTimer()
@@ -507,8 +508,8 @@ func BenchmarkKernelAxpyVariants(b *testing.B) {
 	for _, k := range benchKs {
 		for _, v := range kernels.Implementations() {
 			b.Run(fmt.Sprintf("K=%d/%s", k, v.Variant), func(b *testing.B) {
-				x := RandomDense(1, k, 1).Data
-				y := RandomDense(1, k, 2).Data
+				x := twoface.RandomDense(1, k, 1).Data
+				y := twoface.RandomDense(1, k, 2).Data
 				b.ReportAllocs()
 				b.SetBytes(int64(16 * k))
 				b.ResetTimer()
@@ -553,7 +554,7 @@ func BenchmarkKernelAsyncStripeAccumulate(b *testing.B) {
 	entries, cols, bufRow := benchStripe()
 	const rows = 256
 	for _, k := range benchKs {
-		drows := RandomDense(len(cols), k, 3).Data
+		drows := twoface.RandomDense(len(cols), k, 3).Data
 		b.Run(fmt.Sprintf("K=%d/atomic", k), func(b *testing.B) {
 			out := atomicfloat.View(make([]float64, rows*k))
 			b.ReportAllocs()
@@ -694,7 +695,7 @@ func (g *panelGather) multiply(table [][]float64, out *atomicfloat.Slice, acc []
 
 // benchPanelTable returns the bench panel's dense rows, one per column.
 func benchPanelTable(nCols, k int) [][]float64 {
-	bm := RandomDense(nCols, k, 4)
+	bm := twoface.RandomDense(nCols, k, 4)
 	table := make([][]float64, nCols)
 	for c := range table {
 		table[c] = bm.Row(c)
@@ -788,8 +789,8 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 
 // BenchmarkKernelPreprocess measures Two-Face preprocessing throughput.
 func BenchmarkKernelPreprocess(b *testing.B) {
-	a := Generate("twitter", 0.05, 1)
-	sys, err := New(Options{Nodes: 8, DenseColumns: 128})
+	a := twoface.Generate("twitter", 0.05, 1)
+	sys, err := twoface.New(twoface.Options{Nodes: 8, DenseColumns: 128})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,132 +22,179 @@ import (
 	"strings"
 	"time"
 
-	"twoface/internal/chaos"
+	"twoface"
 	"twoface/internal/harness"
 	"twoface/internal/kernels"
 	"twoface/internal/obs"
 )
 
+type cli struct {
+	exp        string
+	scale      float64
+	p          int
+	seed       uint64
+	workers    int
+	verify     bool
+	full       bool
+	asJSON     bool
+	chaosSeed  uint64
+	faultPlan  string
+	recover    bool
+	ckptEvery  float64
+	report     string
+	commOut    string
+	runsFile   string
+	forceGen   bool
+	allowFMA   bool
+	cpuProfile string
+	memProfile string
+	listen     string
+	logLevel   string
+	logJSON    bool
+	compareRep string
+	compFail   bool
+}
+
+// register declares every flag on fs, bound to c's fields.
+func (c *cli) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.exp, "exp", "all", "experiment to run: table1|fig2|fig7|fig8|fig9|table3|table5|fig10|fig11|table6|fig12|volume|comm|seeds|all")
+	fs.Float64Var(&c.scale, "scale", 1.0, "matrix scale relative to the registry (1.0 = 1/512 of the paper)")
+	fs.IntVar(&c.p, "p", 8, "number of simulated nodes")
+	fs.Uint64Var(&c.seed, "seed", 42, "generator seed")
+	fs.IntVar(&c.workers, "workers", 4, "real goroutines per node")
+	fs.BoolVar(&c.verify, "verify", false, "run real arithmetic (slow) instead of timing-only mode")
+	fs.BoolVar(&c.full, "full", false, "extend fig11 to 32 and 64 nodes")
+	fs.BoolVar(&c.asJSON, "json", false, "emit machine-readable JSON instead of text tables")
+	fs.Uint64Var(&c.chaosSeed, "chaos-seed", 0, "run every algorithm under a random survivable fault plan with this seed (0 = off)")
+	fs.StringVar(&c.faultPlan, "fault-plan", "", "run every algorithm under the JSON fault plan at this path")
+	fs.BoolVar(&c.recover, "recover", false, "recover crashed ranks from checkpoints instead of aborting (TwoFace runs only)")
+	fs.Float64Var(&c.ckptEvery, "checkpoint-interval", 0, "virtual seconds between checkpoints under -recover (0 = auto)")
+	fs.StringVar(&c.report, "report", "", "write a structured JSON report of this invocation")
+	fs.StringVar(&c.commOut, "comm-out", "", "with -exp comm: write the per-matrix aggregation rows as JSON")
+	fs.StringVar(&c.runsFile, "runs-file", "BENCH_runs.json", "trajectory file appended to when -report is set (empty disables)")
+	fs.BoolVar(&c.forceGen, "force-generic", false, "pin compute kernels to the portable pure-Go loops (no SIMD dispatch)")
+	fs.BoolVar(&c.allowFMA, "allow-fma", false, "opt compute kernels into fused multiply-add assembly (ulp-level drift vs default)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile")
+	fs.StringVar(&c.listen, "listen", "", "serve the live ops endpoint (/metrics, /report, /healthz, /debug/pprof) on this host:port")
+	fs.StringVar(&c.logLevel, "log-level", "", "structured logging to stderr at this level: debug|info|warn|error (empty = off)")
+	fs.BoolVar(&c.logJSON, "log-json", false, "emit log records as JSON lines (with -log-level)")
+	fs.StringVar(&c.compareRep, "compare-report", "", "compare two report/trajectory files (OLD,NEW) benchstat-style and exit")
+	fs.BoolVar(&c.compFail, "compare-fail", false, "with -compare-report: exit non-zero when any metric regressed")
+}
+
 func main() {
-	var (
-		exp        = flag.String("exp", "all", "experiment to run: table1|fig2|fig7|fig8|fig9|table3|table5|fig10|fig11|table6|fig12|volume|comm|seeds|all")
-		scale      = flag.Float64("scale", 1.0, "matrix scale relative to the registry (1.0 = 1/512 of the paper)")
-		p          = flag.Int("p", 8, "number of simulated nodes")
-		seed       = flag.Uint64("seed", 42, "generator seed")
-		workers    = flag.Int("workers", 4, "real goroutines per node")
-		verify     = flag.Bool("verify", false, "run real arithmetic (slow) instead of timing-only mode")
-		full       = flag.Bool("full", false, "extend fig11 to 32 and 64 nodes")
-		asJSON     = flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
-		chaosSeed  = flag.Uint64("chaos-seed", 0, "run every algorithm under a random survivable fault plan with this seed (0 = off)")
-		faultPlan  = flag.String("fault-plan", "", "run every algorithm under the JSON fault plan at this path")
-		recovery   = flag.Bool("recover", false, "recover crashed ranks from checkpoints instead of aborting (TwoFace runs only)")
-		ckptEvery  = flag.Float64("checkpoint-interval", 0, "virtual seconds between checkpoints under -recover (0 = auto)")
-		report     = flag.String("report", "", "write a structured JSON report of this invocation")
-		commOut    = flag.String("comm-out", "", "with -exp comm: write the per-matrix aggregation rows as JSON")
-		runsFile   = flag.String("runs-file", "BENCH_runs.json", "trajectory file appended to when -report is set (empty disables)")
-		forceGen   = flag.Bool("force-generic", false, "pin compute kernels to the portable pure-Go loops (no SIMD dispatch)")
-		allowFMA   = flag.Bool("allow-fma", false, "opt compute kernels into fused multiply-add assembly (ulp-level drift vs default)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile")
-		listen     = flag.String("listen", "", "serve the live ops endpoint (/metrics, /report, /healthz, /debug/pprof) on this host:port")
-		logLevel   = flag.String("log-level", "", "structured logging to stderr at this level: debug|info|warn|error (empty = off)")
-		logJSON    = flag.Bool("log-json", false, "emit log records as JSON lines (with -log-level)")
-		compareRep = flag.String("compare-report", "", "compare two report/trajectory files (OLD,NEW) benchstat-style and exit")
-		compFail   = flag.Bool("compare-fail", false, "with -compare-report: exit non-zero when any metric regressed")
-	)
+	var c cli
+	c.register(flag.CommandLine)
 	flag.Parse()
 
-	if *compareRep != "" {
-		if err := compareReports(*compareRep, *compFail); err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if _, _, err := obs.SetupLogging("twoface-bench", *logLevel, *logJSON); err != nil {
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "twoface-bench:", err)
 		os.Exit(1)
 	}
+}
 
-	if *allowFMA {
+// config maps the flags onto the harness configuration — the one place a
+// flag reaches the library options every experiment runs with. The logger,
+// which is not a flag value, is attached by run.
+func (c cli) config() (harness.Config, error) {
+	cfg := harness.Config{Scale: c.scale, Seed: c.seed, Options: twoface.Options{
+		Nodes: c.p, Workers: c.workers, TimingOnly: !c.verify,
+		Recover: c.recover, CheckpointInterval: c.ckptEvery,
+		ForceGenericKernels: c.forceGen, AllowFMA: c.allowFMA,
+	}}
+	switch {
+	case c.faultPlan != "" && c.chaosSeed != 0:
+		return cfg, errors.New("use -chaos-seed or -fault-plan, not both")
+	case c.faultPlan != "":
+		plan, err := twoface.LoadFaultPlan(c.faultPlan)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Chaos = plan
+	case c.chaosSeed != 0:
+		cfg.Chaos = twoface.RandomFaultPlan(c.chaosSeed, c.p)
+	}
+	return cfg, nil
+}
+
+func run(c cli) error {
+	if c.compareRep != "" {
+		return compareReports(c.compareRep, c.compFail)
+	}
+	logger, _, err := twoface.SetupLogging("twoface-bench", c.logLevel, c.logJSON)
+	if err != nil {
+		return err
+	}
+	cfg, err := c.config()
+	if err != nil {
+		return err
+	}
+	if c.logLevel != "" {
+		cfg.Logger = logger
+	}
+	// The kernel toggles apply here rather than at the first twoface.New:
+	// -exp table3's calibration runs on core directly and never calls it.
+	if cfg.AllowFMA {
 		kernels.SetAllowFMA(true)
 	}
-	if *forceGen {
+	if cfg.ForceGenericKernels {
 		kernels.SetForceGeneric(true)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
+			f.Close()
+			return err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
 	}
-	if *report != "" || *listen != "" {
+	if c.report != "" || c.listen != "" {
 		obs.Default.SetEnabled(true)
 	}
 
 	start := time.Now()
-	cfg := harness.Config{
-		Scale: *scale, P: *p, Seed: *seed, Workers: *workers, Verify: *verify, Listen: *listen,
-		Recover: *recovery, CheckpointInterval: *ckptEvery,
-	}
-	srv, err := cfg.StartOps()
+	srv, err := twoface.ServeOps(c.listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	if srv != nil {
 		defer srv.Close()
 		srv.SetStatus("running")
 		fmt.Printf("ops endpoint: http://%s (/metrics, /report, /healthz, /debug/pprof)\n", srv.Addr())
 	}
-	switch {
-	case *faultPlan != "" && *chaosSeed != 0:
-		fmt.Fprintln(os.Stderr, "twoface-bench: use -chaos-seed or -fault-plan, not both")
-		os.Exit(1)
-	case *faultPlan != "":
-		plan, err := chaos.LoadFile(*faultPlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
-		}
-		cfg.Chaos = plan
-	case *chaosSeed != 0:
-		cfg.Chaos = chaos.RandomPlan(*chaosSeed, *p)
-	}
-	if err := run(cfg, strings.ToLower(*exp), *full, *asJSON, *commOut); err != nil {
-		fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-		os.Exit(1)
+	exp := strings.ToLower(c.exp)
+	if err := runExperiments(cfg, exp, c.full, c.asJSON, c.commOut); err != nil {
+		return err
 	}
 	if srv != nil {
 		srv.SetStatus("done")
 	}
-	if *report != "" {
-		if err := writeReport(*report, *runsFile, cfg, strings.ToLower(*exp), time.Since(start), srv); err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
+	if c.report != "" {
+		if err := writeReport(c.report, c.runsFile, cfg, exp, time.Since(start), srv); err != nil {
+			return err
 		}
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+	if c.memProfile != "" {
+		f, err := os.Create(c.memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
+			return err
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "twoface-bench:", err)
-			os.Exit(1)
+			f.Close()
+			return err
 		}
-		f.Close()
+		return f.Close()
 	}
+	return nil
 }
 
 // writeReport emits the invocation-level report (there is no single modeled
@@ -157,8 +205,8 @@ func main() {
 func writeReport(path, runsFile string, cfg harness.Config, exp string, wall time.Duration, srv *obs.Server) error {
 	rep := obs.NewReport("twoface-bench")
 	rep.Config = map[string]any{
-		"exp": exp, "scale": cfg.Scale, "p": cfg.P, "seed": cfg.Seed,
-		"workers": cfg.Workers, "verify": cfg.Verify,
+		"exp": exp, "scale": cfg.Scale, "p": cfg.Nodes, "seed": cfg.Seed,
+		"workers": cfg.Workers, "verify": !cfg.TimingOnly,
 	}
 	if cfg.Chaos != nil {
 		rep.Config["chaos_seed"] = cfg.Chaos.Seed
@@ -217,7 +265,7 @@ func compareReports(spec string, failOnRegress bool) error {
 	return nil
 }
 
-func run(cfg harness.Config, exp string, full bool, asJSON bool, commOut string) error {
+func runExperiments(cfg harness.Config, exp string, full bool, asJSON bool, commOut string) error {
 	show := func(t *harness.Table) {
 		if asJSON {
 			b, err := t.JSON()

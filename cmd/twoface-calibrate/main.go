@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"twoface"
 	"twoface/internal/harness"
 )
 
@@ -25,7 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := harness.Config{Scale: *scale, P: *p, Seed: *seed}
+	cfg := harness.Config{Scale: *scale, Seed: *seed, Options: twoface.Options{Nodes: *p, TimingOnly: true}}
 	table, err := cfg.Table3()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "twoface-calibrate:", err)

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	cfg := harness.Config{Scale: 0.05, P: 4}
+	cfg := harness.Config{Scale: 0.05, Options: twoface.Options{Nodes: 4, TimingOnly: true}}
 	fmt.Println("profiling 9 forced configurations of the twitter analog (3 widths x 3 splits)...")
 	fitted, truth, err := cfg.Calibrate()
 	if err != nil {

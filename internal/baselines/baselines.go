@@ -32,10 +32,11 @@ import (
 // kmer at K=128).
 var ErrOutOfMemory = errors.New("baselines: replication exceeds per-node memory budget")
 
+// modelThreads is the modeled per-node compute thread count (Table 2's 128).
+const modelThreads = 128
+
 // Options configures a baseline run. Zero values take defaults.
 type Options struct {
-	// Threads is the modeled per-node compute thread count (Table 2's 128).
-	Threads int
 	// MemBudgetElems is the per-node buffer budget in float64 elements;
 	// the default matches core.Params (48 Mi elements, the paper's 256 GiB
 	// nodes at 1/512 scale).
@@ -49,9 +50,6 @@ type Options struct {
 }
 
 func (o Options) normalize() Options {
-	if o.Threads == 0 {
-		o.Threads = 128
-	}
 	if o.MemBudgetElems == 0 {
 		o.MemBudgetElems = 48 << 20
 	}

@@ -99,7 +99,7 @@ func DenseShift(a *sparse.COO, b *dense.Matrix, clu *cluster.Cluster, c int, opt
 				stepNNZ += na.blockNNZ[blockID]
 			}
 			if stepNNZ > 0 {
-				r.ChargeOp(cluster.SyncComp, "compute.sync.step", net.SyncComputeCost(stepNNZ, k, opts.Threads))
+				r.ChargeOp(cluster.SyncComp, "compute.sync.step", net.SyncComputeCost(stepNNZ, k, modelThreads))
 			}
 			if t == groups-1 {
 				break

@@ -66,7 +66,7 @@ func Allgather(a *sparse.COO, b *dense.Matrix, clu *cluster.Cluster, opts Option
 			nnz += na.blockNNZ[j]
 		}
 		if nnz > 0 {
-			r.ChargeOp(cluster.SyncComp, "compute.sync.block", net.SyncComputeCost(nnz, k, opts.Threads))
+			r.ChargeOp(cluster.SyncComp, "compute.sync.block", net.SyncComputeCost(nnz, k, modelThreads))
 		}
 		return r.Barrier()
 	})
@@ -153,7 +153,7 @@ func AsyncCoarse(a *sparse.COO, b *dense.Matrix, clu *cluster.Cluster, opts Opti
 			nnz += na.blockNNZ[j]
 		}
 		if nnz > 0 {
-			r.ChargeOp(cluster.AsyncComp, "compute.async.block", net.SyncComputeCost(nnz, k, opts.Threads))
+			r.ChargeOp(cluster.AsyncComp, "compute.async.block", net.SyncComputeCost(nnz, k, modelThreads))
 		}
 		return r.Barrier()
 	})

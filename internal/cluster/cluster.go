@@ -370,15 +370,16 @@ func (r *Rank) charge(cat Category, op string, dt float64) float64 {
 	}
 	start := *f
 	*f += dt
-	end := *f
-	rec := r.rec
-	r.mu.Unlock()
-	if rec != nil {
+	// The span is recorded under the lock, so concurrent workers on one rank
+	// reach the recorder in the order they reached the ledger and both sum
+	// the same charges in the same order.
+	if r.rec != nil {
 		if op == "" {
 			op = cat.String()
 		}
-		rec.Span(r.ID, cat, op, start, end)
+		r.rec.Span(r.ID, cat, op, start, *f)
 	}
+	r.mu.Unlock()
 	return dt
 }
 

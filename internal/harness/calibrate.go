@@ -15,6 +15,9 @@ import (
 // collects per-node (features, observed times) samples, and fits the six
 // model coefficients by linear regression. It returns the fitted
 // coefficients alongside the machine-truth values for comparison.
+//
+// It stays on core directly: it sweeps ForceSplit and reads each rank's
+// NodePart features, neither of which the library facade exposes.
 func (c Config) Calibrate() (fitted, truth model.Coefficients, err error) {
 	cc := c.normalize()
 	spec, err := gen.ByName("twitter")
@@ -34,7 +37,7 @@ func (c Config) Calibrate() (fitted, truth model.Coefficients, err error) {
 		for _, split := range splits {
 			split := split
 			params := core.Params{
-				P: cc.P, K: k, W: width,
+				P: cc.Nodes, K: k, W: width,
 				Coef:           cc.Coef(),
 				ForceSplit:     &split,
 				MemBudgetElems: cc.MemBudget(),
@@ -43,11 +46,11 @@ func (c Config) Calibrate() (fitted, truth model.Coefficients, err error) {
 			if err != nil {
 				return fitted, truth, fmt.Errorf("harness: calibration prep (W=%d split=%.2f): %w", width, split, err)
 			}
-			clu, err := cluster.New(cc.P, cc.Net())
+			clu, err := cluster.New(cc.Nodes, cc.Net())
 			if err != nil {
 				return fitted, truth, err
 			}
-			res, err := core.Exec(prep, w.B(k), clu, core.ExecOptions{AsyncWorkers: 2, SyncWorkers: cc.Workers, SkipCompute: !cc.Verify})
+			res, err := core.Exec(prep, w.B(k), clu, core.ExecOptions{AsyncWorkers: cc.AsyncWorkers, SyncWorkers: cc.Workers, SkipCompute: cc.TimingOnly})
 			if err != nil {
 				return fitted, truth, fmt.Errorf("harness: calibration run (W=%d split=%.2f): %w", width, split, err)
 			}

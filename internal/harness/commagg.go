@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"twoface/internal/cluster"
-	"twoface/internal/core"
-	"twoface/internal/dense"
+	"twoface"
 	"twoface/internal/gen"
 )
 
@@ -17,7 +15,7 @@ import (
 type CommAggRow struct {
 	Matrix string `json:"matrix"`
 
-	// Seed accounting: the per-stripe twin (see execPerStripeTwin) — one
+	// Seed accounting: the per-stripe twin (see commAggRow) — one
 	// GetIndexed per async stripe, AlphaA per region, no cache.
 	LegacyGets    int64 `json:"legacy_gets"`
 	LegacyRegions int64 `json:"legacy_regions"`
@@ -65,7 +63,7 @@ func (c Config) CommAggregation(k int) ([]CommAggRow, *Table, error) {
 	cc := c.normalize()
 	rows := make([]CommAggRow, 0, len(gen.Specs()))
 	cols := []string{"legacy gets", "batched gets", "get redux", "warm bytes/cold", "cache hit%", "overlap gain"}
-	t := NewTable(fmt.Sprintf("Extension: one-sided aggregation and row cache, K=%d, p=%d", k, cc.P),
+	t := NewTable(fmt.Sprintf("Extension: one-sided aggregation and row cache, K=%d, p=%d", k, cc.Nodes),
 		MatrixNames(), cols)
 	for i, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
@@ -92,8 +90,19 @@ func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	cc := c.normalize()
 	var row CommAggRow
 	b := w.B(k)
+	opts := cc.options(w, k, cc.Nodes)
+	opts.TimingOnly = false
 
-	legacyRes, err := cc.execPerStripeTwin(w, k, b)
+	// The seed accounting as settings of the one executor path: every async
+	// stripe in a get of its own, no row cache, and each region charged the
+	// full per-request overhead.
+	legacy := opts
+	net := *opts.Net
+	net.RegionAlpha = net.AlphaA
+	legacy.Net = &net
+	legacy.MaxAsyncBatchBytes = 1
+	legacy.RowCacheElems = -1
+	legacyRes, err := twoface.Multiply(w.A, b, legacy)
 	if err != nil {
 		return row, err
 	}
@@ -101,19 +110,17 @@ func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	row.LegacyGets, row.LegacyRegions, row.LegacyBytes = lt.OneSidedGets, lt.OneSidedMsgs, lt.OneSidedBytes
 	row.ModeledLegacy = legacyRes.ModeledSeconds
 
-	// One prep, one cluster, two runs: the first is cold, the second hits
-	// the row cache (per-run counters reset at each Exec entry).
-	params := cc.twoFaceParams(w, k)
-	prep, err := core.Preprocess(w.A, params)
+	// One plan, two runs: the first is cold, the second hits the row cache
+	// (per-run counters reset at each Multiply).
+	sys, err := twoface.New(opts)
 	if err != nil {
 		return row, err
 	}
-	clu, err := cluster.New(cc.P, cc.Net())
+	plan, err := sys.Preprocess(w.A)
 	if err != nil {
 		return row, err
 	}
-	opts := core.ExecOptions{AsyncWorkers: cc.AsyncWorkers, SyncWorkers: cc.Workers}
-	cold, err := core.Exec(prep, b, clu, opts)
+	cold, err := plan.Multiply(b)
 	if err != nil {
 		return row, err
 	}
@@ -121,7 +128,7 @@ func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	row.BatchedGets, row.BatchedRegions, row.ColdBytes = ct.OneSidedGets, ct.OneSidedMsgs, ct.OneSidedBytes
 	row.ModeledBatched = cold.ModeledSeconds
 
-	warm, err := core.Exec(prep, b, clu, opts)
+	warm, err := plan.Multiply(b)
 	if err != nil {
 		return row, err
 	}
@@ -154,39 +161,6 @@ func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	row.MaxRelDiff = maxRelDiff(legacyRes.C.Data, cold.C.Data)
 	row.ResultsAgree = row.MaxRelDiff <= 1e-9
 	return row, nil
-}
-
-// twoFaceParams builds the Two-Face parameters the harness uses everywhere.
-func (c Config) twoFaceParams(w *Workload, k int) core.Params {
-	cc := c.normalize()
-	return core.Params{
-		P: cc.P, K: k, W: w.W,
-		Coef:           cc.Coef(),
-		MemBudgetElems: cc.MemBudget(),
-	}
-}
-
-// execPerStripeTwin preps and runs Two-Face once with real arithmetic, on a
-// fresh cluster, under the seed accounting expressed as settings of the one
-// executor path: MaxBatchBytes 1 puts every async stripe in a get of its own,
-// a negative RowCacheElems turns the row cache off, and RegionAlpha = AlphaA
-// charges each region the full per-request overhead.
-func (c Config) execPerStripeTwin(w *Workload, k int, b *dense.Matrix) (*core.Result, error) {
-	cc := c.normalize()
-	params := cc.twoFaceParams(w, k)
-	params.MaxBatchBytes = 1
-	params.RowCacheElems = -1
-	prep, err := core.Preprocess(w.A, params)
-	if err != nil {
-		return nil, err
-	}
-	net := cc.Net()
-	net.RegionAlpha = net.AlphaA
-	clu, err := cluster.New(cc.P, net)
-	if err != nil {
-		return nil, err
-	}
-	return core.Exec(prep, b, clu, core.ExecOptions{AsyncWorkers: cc.AsyncWorkers, SyncWorkers: cc.Workers})
 }
 
 // maxRelDiff returns the maximum per-element relative difference.

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"twoface/internal/baselines"
-	"twoface/internal/cluster"
-	"twoface/internal/core"
 	"twoface/internal/gen"
 )
 
@@ -23,7 +20,7 @@ func (c Config) CommVolume(k int) *Table {
 	for i, a := range algos {
 		cols[i] = string(a)
 	}
-	t := NewTable(fmt.Sprintf("Extension: received data volume relative to DS2, K=%d, p=%d", k, cc.P),
+	t := NewTable(fmt.Sprintf("Extension: received data volume relative to DS2, K=%d, p=%d", k, cc.Nodes),
 		MatrixNames(), cols)
 	for i, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
@@ -44,34 +41,14 @@ func (c Config) CommVolume(k int) *Table {
 	return t
 }
 
-// runWithVolume runs one algorithm and returns the cluster-wide bytes moved.
+// runWithVolume runs one algorithm in timing-only mode and returns the
+// cluster-wide bytes moved.
 func (c Config) runWithVolume(algo Algo, w *Workload, k int) (int64, error) {
-	cc := c.normalize()
-	clu, err := cluster.New(cc.P, cc.Net())
+	opts := c.options(w, k, c.normalize().Nodes)
+	opts.TimingOnly = true
+	res, _, err := execute(algo, w, opts)
 	if err != nil {
 		return 0, err
 	}
-	b := w.B(k)
-	opts := baselines.Options{Workers: cc.Workers, MemBudgetElems: cc.MemBudget(), SkipCompute: true}
-	switch algo {
-	case AlgoDS2:
-		_, err = baselines.DenseShift(w.A, b, clu, 2, opts)
-	case AlgoAllgather:
-		_, err = baselines.Allgather(w.A, b, clu, opts)
-	case AlgoAsyncFine:
-		_, err = baselines.AsyncFine(w.A, b, clu, w.W, opts)
-	case AlgoTwoFace:
-		params := core.Params{P: cc.P, K: k, W: w.W, Coef: cc.Coef(), MemBudgetElems: cc.MemBudget()}
-		var prep *core.Prep
-		prep, err = core.Preprocess(w.A, params)
-		if err == nil {
-			_, err = core.Exec(prep, b, clu, core.ExecOptions{SkipCompute: true})
-		}
-	default:
-		return 0, fmt.Errorf("harness: CommVolume does not cover %q", algo)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return clu.TotalTransfer().TotalBytes(), nil
+	return res.TotalTransfer.TotalBytes(), nil
 }

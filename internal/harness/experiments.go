@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"twoface/internal/cluster"
-	"twoface/internal/core"
+	"twoface"
 	"twoface/internal/gen"
-	"twoface/internal/model"
 )
 
 // MatrixNames lists the evaluation matrices in Table 1 order.
@@ -54,15 +52,15 @@ func (c Config) Table1() *Table {
 func (c Config) Figure2() *Table {
 	cc := c.normalize()
 	t := NewTable(
-		fmt.Sprintf("Figure 2: Async Fine speedup over Collectives (Allgather), p=%d", cc.P),
+		fmt.Sprintf("Figure 2: Async Fine speedup over Collectives (Allgather), p=%d", cc.Nodes),
 		MatrixNames(),
 		[]string{"K=32", "K=128"},
 	)
 	for i, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
 		for j, k := range []int{32, 128} {
-			ag := cc.Run(AlgoAllgather, w, k, cc.P)
-			af := cc.Run(AlgoAsyncFine, w, k, cc.P)
+			ag := cc.Run(AlgoAllgather, w, k, cc.Nodes)
+			af := cc.Run(AlgoAsyncFine, w, k, cc.Nodes)
 			t.Set(i, j, Speedup(ag, af), "%.2f")
 		}
 	}
@@ -80,18 +78,18 @@ func (c Config) SpeedupFigure(k int) *Table {
 	for j, a := range FigureAlgos {
 		cols[j] = string(a)
 	}
-	t := NewTable(fmt.Sprintf("Figures 7-9: speedup over DS2, K=%d, p=%d", k, cc.P), rows, cols)
+	t := NewTable(fmt.Sprintf("Figures 7-9: speedup over DS2, K=%d, p=%d", k, cc.Nodes), rows, cols)
 	geo := make([]float64, len(FigureAlgos))
 	cnt := make([]int, len(FigureAlgos))
 	for i, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
-		base := cc.Run(AlgoDS2, w, k, cc.P)
+		base := cc.Run(AlgoDS2, w, k, cc.Nodes)
 		for j, algo := range FigureAlgos {
 			var out Outcome
 			if algo == AlgoDS2 {
 				out = base
 			} else {
-				out = cc.Run(algo, w, k, cc.P)
+				out = cc.Run(algo, w, k, cc.Nodes)
 			}
 			sp := Speedup(base, out)
 			t.Set(i, j, sp, "%.2f")
@@ -117,12 +115,12 @@ func (c Config) Table5() *Table {
 	for _, k := range []int{32, 128, 512} {
 		rows = append(rows, fmt.Sprintf("K=%d DS2", k), fmt.Sprintf("K=%d Two-Face", k))
 	}
-	t := NewTable(fmt.Sprintf("Table 5: absolute modeled times (s), p=%d", cc.P), rows, MatrixNames())
+	t := NewTable(fmt.Sprintf("Table 5: absolute modeled times (s), p=%d", cc.Nodes), rows, MatrixNames())
 	for col, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
 		for ki, k := range []int{32, 128, 512} {
-			ds := cc.Run(AlgoDS2, w, k, cc.P)
-			tf := cc.Run(AlgoTwoFace, w, k, cc.P)
+			ds := cc.Run(AlgoDS2, w, k, cc.Nodes)
+			tf := cc.Run(AlgoTwoFace, w, k, cc.Nodes)
 			t.Set(2*ki, col, orNaN(ds), "%.4g")
 			t.Set(2*ki+1, col, orNaN(tf), "%.4g")
 		}
@@ -149,12 +147,12 @@ func (c Config) Figure10() *Table {
 		"2F SyncComm", "2F SyncComp", "2F AsyncComm", "2F AsyncComp", "2F Other",
 		"2F/DS4 time",
 	}
-	t := NewTable(fmt.Sprintf("Figure 10: time breakdown DS4 vs Two-Face, K=%d, p=%d (normalized to DS4 total)", k, cc.P),
+	t := NewTable(fmt.Sprintf("Figure 10: time breakdown DS4 vs Two-Face, K=%d, p=%d (normalized to DS4 total)", k, cc.Nodes),
 		MatrixNames(), cols)
 	for i, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
-		ds := cc.Run(AlgoDS4, w, k, cc.P)
-		tf := cc.Run(AlgoTwoFace, w, k, cc.P)
+		ds := cc.Run(AlgoDS4, w, k, cc.Nodes)
+		tf := cc.Run(AlgoTwoFace, w, k, cc.Nodes)
 		if ds.OOM || ds.Err != nil || tf.OOM || tf.Err != nil {
 			continue
 		}
@@ -175,8 +173,8 @@ func (c Config) Figure10() *Table {
 	return t
 }
 
-func sumBreakdowns(bds []cluster.Breakdown) cluster.Breakdown {
-	var s cluster.Breakdown
+func sumBreakdowns(bds []twoface.Breakdown) twoface.Breakdown {
+	var s twoface.Breakdown
 	for _, b := range bds {
 		s = s.Plus(b)
 	}
@@ -207,10 +205,10 @@ func (c Config) Figure11(nodeCounts []int) []*Table {
 		t := NewTable(fmt.Sprintf("Figure 11 (%s): modeled time (s) vs node count, K=%d", s.Short, k), rows, cols)
 		for j, p := range nodeCounts {
 			for i, algo := range algos {
-				if isDS(algo) && p%dsFactor(algo) != 0 {
-					continue // replication factor must divide p
-				}
 				out := cc.Run(algo, w, k, p)
+				if out.Err != nil {
+					continue // blank, e.g. a replication factor that does not divide p
+				}
 				t.Set(i, j, orNaN(out), "%.4g")
 			}
 		}
@@ -219,23 +217,19 @@ func (c Config) Figure11(nodeCounts []int) []*Table {
 	return tables
 }
 
-func isDS(a Algo) bool {
-	return a == AlgoDS1 || a == AlgoDS2 || a == AlgoDS4 || a == AlgoDS8
-}
-
 // Table6 reproduces the preprocessing-overhead study at K=128: the modeled
 // single-node preprocessing time (with and without I/O) normalized to one
 // modeled Two-Face SpMM.
 func (c Config) Table6() *Table {
 	cc := c.normalize()
 	const k = 128
-	t := NewTable(fmt.Sprintf("Table 6: preprocessing overhead / one SpMM, K=%d, p=%d", k, cc.P),
+	t := NewTable(fmt.Sprintf("Table 6: preprocessing overhead / one SpMM, K=%d, p=%d", k, cc.Nodes),
 		append(MatrixNames(), "avg"), []string{"t_norm_io", "t_norm"})
 	var sumIO, sum float64
 	var n int
 	for i, s := range gen.Specs() {
 		w := cc.BuildWorkload(s)
-		tf := cc.Run(AlgoTwoFace, w, k, cc.P)
+		tf := cc.Run(AlgoTwoFace, w, k, cc.Nodes)
 		if tf.Err != nil || tf.OOM || tf.Prep == nil || tf.Modeled == 0 {
 			continue
 		}
@@ -268,20 +262,20 @@ func (c Config) Figure12() []*Table {
 
 	type pairDef struct {
 		name  string
-		apply func(coef model.Coefficients, fRow, fCol float64) model.Coefficients
+		apply func(coef twoface.Coefficients, fRow, fCol float64) twoface.Coefficients
 	}
 	pairs := []pairDef{
-		{"alphaA (rows) x betaA (cols)", func(m model.Coefficients, fr, fc float64) model.Coefficients {
+		{"alphaA (rows) x betaA (cols)", func(m twoface.Coefficients, fr, fc float64) twoface.Coefficients {
 			m.AlphaA *= fr
 			m.BetaA *= fc
 			return m
 		}},
-		{"alphaS (rows) x betaS (cols)", func(m model.Coefficients, fr, fc float64) model.Coefficients {
+		{"alphaS (rows) x betaS (cols)", func(m twoface.Coefficients, fr, fc float64) twoface.Coefficients {
 			m.AlphaS *= fr
 			m.BetaS *= fc
 			return m
 		}},
-		{"gammaA (rows) x kappaA (cols)", func(m model.Coefficients, fr, fc float64) model.Coefficients {
+		{"gammaA (rows) x kappaA (cols)", func(m twoface.Coefficients, fr, fc float64) twoface.Coefficients {
 			m.GammaA *= fr
 			m.KappaA *= fc
 			return m
@@ -298,7 +292,7 @@ func (c Config) Figure12() []*Table {
 		}
 		w := cc.BuildWorkload(spec)
 		workloads[name] = w
-		out := cc.Run(AlgoTwoFace, w, k, cc.P)
+		out := cc.Run(AlgoTwoFace, w, k, cc.Nodes)
 		if out.Err == nil && !out.OOM {
 			baseTimes[name] = out.Modeled
 		}
@@ -338,31 +332,8 @@ func (c Config) Figure12() []*Table {
 // runPerturbed runs Two-Face with explicit classifier coefficients (the
 // machine model stays at the default — that is the whole point of the
 // sensitivity study).
-func (c Config) runPerturbed(w *Workload, k int, coef model.Coefficients) Outcome {
-	cc := c.normalize()
-	out := Outcome{Algo: AlgoTwoFace}
-	clu, err := cluster.New(cc.P, cc.Net())
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	params := core.Params{
-		P: cc.P, K: k, W: w.W,
-		Coef:           coef,
-		MemBudgetElems: cc.MemBudget(),
-	}
-	prep, err := core.Preprocess(w.A, params)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Prep = &prep.Stats
-	res, err := core.Exec(prep, w.B(k), clu, core.ExecOptions{AsyncWorkers: 2, SyncWorkers: cc.Workers, SkipCompute: !cc.Verify})
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Modeled = res.ModeledSeconds
-	out.Breakdowns = res.Breakdowns
-	return out
+func (c Config) runPerturbed(w *Workload, k int, coef twoface.Coefficients) Outcome {
+	opts := c.options(w, k, c.normalize().Nodes)
+	opts.Coefficients = &coef
+	return run(AlgoTwoFace, w, opts)
 }

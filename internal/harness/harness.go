@@ -5,18 +5,11 @@
 package harness
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"twoface/internal/baselines"
-	"twoface/internal/chaos"
-	"twoface/internal/cluster"
-	"twoface/internal/core"
+	"twoface"
 	"twoface/internal/dense"
 	"twoface/internal/gen"
-	"twoface/internal/model"
-	"twoface/internal/obs"
 	"twoface/internal/sparse"
 )
 
@@ -27,56 +20,26 @@ const paperScaleDivisor = 512
 // Config selects the evaluation operating point. Zero values take defaults
 // mirroring the paper's (scaled) setup.
 type Config struct {
-	Scale   float64 // matrix scale relative to the registry; default 1.0
-	P       int     // nodes; default 8 (paper default: 32)
-	Seed    uint64  // generator seed; default 42
-	Workers int     // real goroutines per node for kernels; default 4
-	// AsyncWorkers is the per-node goroutine count draining the one-sided
-	// queue (wall-clock only); default 2.
-	AsyncWorkers int
-	// Verify keeps the floating-point accumulation loops on so results can
-	// be checked against the reference kernel. Off by default: the
-	// experiments report modeled time, which is independent of the
-	// arithmetic, and the test suite proves correctness separately.
-	Verify bool
-	// Chaos, when non-nil, runs every algorithm under this seeded fault
-	// plan (compiled per node count, so one plan serves a p-sweep). Rank
-	// indices beyond a particular run's node count are inert.
-	Chaos *chaos.Plan
-	// Recover switches crashed ranks from fail-clean aborts to checkpointed
-	// fail-recover on the Two-Face executor (baselines stay fail-clean; a
-	// crash there still aborts — see DESIGN.md section 12).
-	Recover bool
-	// CheckpointInterval is the virtual-time checkpoint cadence in seconds
-	// under Recover; 0 picks the automatic ~2%-overhead cadence.
-	CheckpointInterval float64
-	// Listen, when non-empty, is the host:port of the live ops endpoint
-	// (OpenMetrics /metrics, /report, /healthz, /debug/pprof) that StartOps
-	// binds, so a long experiment sweep is scrapeable while it runs.
-	Listen string
+	Scale float64 // matrix scale relative to the registry; default 1.0
+	Seed  uint64  // generator seed; default 42
+	// Options configures every run the way it configures a library user's:
+	// workers, TimingOnly, Chaos (compiled per run's node count, so one plan
+	// serves a p-sweep), Recover, observability and kernel toggles. Nodes is
+	// the node count of the fixed-p experiments (default 8, the paper's is
+	// 32). Per run the harness sets the fields it owns: Nodes, DenseColumns,
+	// StripeWidth, MemBudgetElems, Coefficients and Net.
+	twoface.Options
 }
-
-// StartOps starts the live ops HTTP server on c.Listen, exposing the
-// default metrics registry. Returns nil (no server, no error) when Listen
-// is empty. The caller owns the server and should Close it when the sweep
-// finishes.
-func (c Config) StartOps() (*obs.Server, error) { return obs.Serve(c.Listen) }
 
 func (c Config) normalize() Config {
 	if c.Scale == 0 {
 		c.Scale = 1.0
 	}
-	if c.P == 0 {
-		c.P = 8
+	if c.Nodes == 0 {
+		c.Nodes = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.AsyncWorkers == 0 {
-		c.AsyncWorkers = 2
 	}
 	return c
 }
@@ -86,14 +49,14 @@ func (c Config) normalize() Config {
 func (c Config) machineScale() float64 { return paperScaleDivisor / c.Scale }
 
 // Net returns the simulated machine's network model at this config's scale.
-func (c Config) Net() cluster.NetModel {
-	return cluster.Default().Scaled(c.machineScale())
+func (c Config) Net() twoface.NetModel {
+	return twoface.DefaultNet().Scaled(c.machineScale())
 }
 
 // Coef returns the classifier coefficients matched to the scaled machine —
 // the ideal outcome of the paper's calibration step (section 6.2).
-func (c Config) Coef() model.Coefficients {
-	return core.CoefficientsFromNet(c.Net(), 8)
+func (c Config) Coef() twoface.Coefficients {
+	return twoface.DeriveCoefficients(c.Net())
 }
 
 // MemBudget returns the per-node memory budget in float64 elements: the
@@ -102,19 +65,34 @@ func (c Config) MemBudget() int64 {
 	return int64(float64(48<<20) * c.normalize().Scale)
 }
 
+// options returns the library options of one run with k dense columns on p
+// nodes over w: the configured Options with the fields the harness owns set.
+// The machine is passed explicitly because the harness scales it by the
+// matrix scale, not by the facade's row-count rule.
+func (c Config) options(w *Workload, k, p int) twoface.Options {
+	cc := c.normalize()
+	o := cc.Options
+	net, coef := cc.Net(), cc.Coef()
+	o.Nodes, o.DenseColumns, o.StripeWidth = p, k, w.W
+	o.MemBudgetElems = cc.MemBudget()
+	o.Net, o.Coefficients = &net, &coef
+	return o
+}
+
 // Algo names one of the compared algorithms (paper Table 4).
 type Algo string
 
-// The algorithm roster of the evaluation.
+// The algorithm roster of the evaluation. Every algorithm but Two-Face is
+// the library baseline of the same name.
 const (
-	AlgoDS1         Algo = "DS1"
-	AlgoDS2         Algo = "DS2"
-	AlgoDS4         Algo = "DS4"
-	AlgoDS8         Algo = "DS8"
-	AlgoAllgather   Algo = "Allgather"
-	AlgoAsyncCoarse Algo = "AsyncCoarse"
-	AlgoAsyncFine   Algo = "AsyncFine"
-	AlgoTwoFace     Algo = "TwoFace"
+	AlgoDS1         = Algo(twoface.DenseShift1)
+	AlgoDS2         = Algo(twoface.DenseShift2)
+	AlgoDS4         = Algo(twoface.DenseShift4)
+	AlgoDS8         = Algo(twoface.DenseShift8)
+	AlgoAllgather   = Algo(twoface.Allgather)
+	AlgoAsyncCoarse = Algo(twoface.AsyncCoarse)
+	AlgoAsyncFine   = Algo(twoface.AsyncFine)
+	AlgoTwoFace     = Algo("TwoFace")
 )
 
 // FigureAlgos is the roster of Figures 7-9, in plot order.
@@ -124,10 +102,10 @@ var FigureAlgos = []Algo{AlgoAllgather, AlgoAsyncCoarse, AlgoAsyncFine, AlgoDS2,
 type Outcome struct {
 	Algo       Algo
 	Modeled    float64 // modeled seconds (cluster makespan); the primary metric
-	Breakdowns []cluster.Breakdown
+	Breakdowns []twoface.Breakdown
 	OOM        bool // the algorithm exceeded the per-node memory budget
 	Err        error
-	Prep       *core.PrepStats // Two-Face / AsyncFine only
+	Prep       *twoface.PrepStats // Two-Face only
 }
 
 // Workload is a generated matrix with its dense input, cached across
@@ -166,93 +144,47 @@ func (w *Workload) B(k int) *dense.Matrix {
 // returning the outcome. Out-of-memory results are reported, not failed:
 // they are the blank bars of the paper's figures.
 func (c Config) Run(algo Algo, w *Workload, k, p int) Outcome {
-	cc := c.normalize()
-	out := Outcome{Algo: algo}
-	clu, err := cluster.New(p, cc.Net())
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if l := obs.ActiveLogger(); l != nil {
-		clu.SetLogger(l)
-	}
-	if cc.Chaos != nil {
-		inj, err := cc.Chaos.Injector(p)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		clu.SetFaultInjector(inj)
-	}
-	clu.SetRecovery(cc.Recover)
-	b := w.B(k)
-	opts := baselines.Options{Workers: cc.Workers, MemBudgetElems: cc.MemBudget(), SkipCompute: !cc.Verify}
+	return run(algo, w, c.options(w, k, p))
+}
 
-	var res *core.Result
-	switch algo {
-	case AlgoDS1, AlgoDS2, AlgoDS4, AlgoDS8:
-		res, err = baselines.DenseShift(w.A, b, clu, dsFactor(algo), opts)
-	case AlgoAllgather:
-		res, err = baselines.Allgather(w.A, b, clu, opts)
-	case AlgoAsyncCoarse:
-		res, err = baselines.AsyncCoarse(w.A, b, clu, opts)
-	case AlgoAsyncFine:
-		res, err = c.runTwoFace(w, k, p, clu, ptr(1.0), &out)
-	case AlgoTwoFace:
-		res, err = c.runTwoFace(w, k, p, clu, nil, &out)
+// run executes one algorithm under opts and folds the result into an Outcome.
+func run(algo Algo, w *Workload, opts twoface.Options) Outcome {
+	out := Outcome{Algo: algo}
+	res, prep, err := execute(algo, w, opts)
+	out.Prep = prep
+	switch {
+	case twoface.IsOutOfMemory(err):
+		out.OOM = true
+	case err != nil:
+		out.Err = err
 	default:
-		out.Err = fmt.Errorf("harness: unknown algorithm %q", algo)
-		return out
+		out.Modeled = res.ModeledSeconds
+		out.Breakdowns = res.Breakdowns
 	}
-	if err != nil {
-		if isOOM(err) {
-			out.OOM = true
-		} else {
-			out.Err = err
-		}
-		return out
-	}
-	out.Modeled = res.ModeledSeconds
-	out.Breakdowns = res.Breakdowns
 	return out
 }
 
-func (c Config) runTwoFace(w *Workload, k, p int, clu *cluster.Cluster, force *float64, out *Outcome) (*core.Result, error) {
-	cc := c.normalize()
-	params := core.Params{
-		P: p, K: k, W: w.W,
-		Coef:           cc.Coef(),
-		ForceSplit:     force,
-		MemBudgetElems: cc.MemBudget(),
-	}
-	prep, err := core.Preprocess(w.A, params)
+// execute runs one algorithm through the library, as a user would: Two-Face
+// as New → Preprocess → Multiply, returning its plan's statistics too, and
+// every other algorithm as RunBaseline.
+func execute(algo Algo, w *Workload, opts twoface.Options) (*twoface.Result, *twoface.PrepStats, error) {
+	sys, err := twoface.New(opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.Prep = &prep.Stats
-	return core.Exec(prep, w.B(k), clu, core.ExecOptions{
-		AsyncWorkers: cc.AsyncWorkers, SyncWorkers: cc.Workers,
-		SkipCompute: !cc.Verify, CheckpointInterval: cc.CheckpointInterval,
-	})
-}
-
-func dsFactor(a Algo) int {
-	switch a {
-	case AlgoDS1:
-		return 1
-	case AlgoDS2:
-		return 2
-	case AlgoDS4:
-		return 4
-	case AlgoDS8:
-		return 8
+	b := w.B(opts.DenseColumns)
+	if algo != AlgoTwoFace {
+		res, err := sys.RunBaseline(twoface.Baseline(algo), w.A, b)
+		return res, nil, err
 	}
-	panic(fmt.Sprintf("harness: %q is not a dense-shifting algorithm", a))
+	plan, err := sys.Preprocess(w.A)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := plan.Stats()
+	res, err := plan.Multiply(b)
+	return res, &st, err
 }
-
-func isOOM(err error) bool { return errors.Is(err, baselines.ErrOutOfMemory) }
-
-func ptr[T any](v T) *T { return &v }
 
 // Speedup returns base/x treating OOM or error as NaN (a blank figure bar).
 func Speedup(base, x Outcome) float64 {

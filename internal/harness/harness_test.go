@@ -6,11 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"twoface"
 	"twoface/internal/gen"
 )
 
-// testCfg is a fast configuration for exercising the experiment plumbing.
-func testCfg() Config { return Config{Scale: 0.02, P: 4, Seed: 7, Workers: 2} }
+// testCfg is a fast timing-only configuration for exercising the experiment
+// plumbing.
+func testCfg() Config {
+	return Config{Scale: 0.02, Seed: 7, Options: twoface.Options{Nodes: 4, Workers: 2, TimingOnly: true}}
+}
 
 func TestRunAllAlgorithms(t *testing.T) {
 	cfg := testCfg()
@@ -23,14 +27,14 @@ func TestRunAllAlgorithms(t *testing.T) {
 		if algo == AlgoDS8 {
 			continue // 8 does not divide the 4-node test cluster
 		}
-		out := cfg.Run(algo, w, 8, cfg.P)
+		out := cfg.Run(algo, w, 8, cfg.Nodes)
 		if out.Err != nil {
 			t.Fatalf("%s: %v", algo, out.Err)
 		}
 		if !out.OOM && out.Modeled <= 0 {
 			t.Fatalf("%s: no modeled time", algo)
 		}
-		if !out.OOM && len(out.Breakdowns) != cfg.P {
+		if !out.OOM && len(out.Breakdowns) != cfg.Nodes {
 			t.Fatalf("%s: %d breakdowns", algo, len(out.Breakdowns))
 		}
 	}
@@ -46,12 +50,12 @@ func TestRunUnknownAlgo(t *testing.T) {
 }
 
 func TestRunVerifyMode(t *testing.T) {
-	// With Verify on, Two-Face's C must match the reference kernel.
+	// With the arithmetic on, Two-Face's C must match the reference kernel.
 	cfg := testCfg()
-	cfg.Verify = true
+	cfg.TimingOnly = false
 	spec, _ := gen.ByName("queen")
 	w := cfg.BuildWorkload(spec)
-	out := cfg.Run(AlgoTwoFace, w, 8, cfg.P)
+	out := cfg.Run(AlgoTwoFace, w, 8, cfg.Nodes)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -62,7 +66,7 @@ func TestRunVerifyMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-run to get C (Run discards it); use the underlying pieces directly.
-	out2 := cfg.Run(AlgoDS2, w, 8, cfg.P)
+	out2 := cfg.Run(AlgoDS2, w, 8, cfg.Nodes)
 	if out2.Err != nil {
 		t.Fatal(out2.Err)
 	}
@@ -341,7 +345,7 @@ func TestSeedSweepStability(t *testing.T) {
 }
 
 func TestCommAggregationSmoke(t *testing.T) {
-	cfg := Config{Scale: 0.05, P: 4}
+	cfg := Config{Scale: 0.05, Options: twoface.Options{Nodes: 4}}
 	rows, table, err := cfg.CommAggregation(32)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func (c Config) SeedSweep(k int, seeds []uint64) *Table {
 		seeds = []uint64{42, 43, 44}
 	}
 	t := NewTable(
-		fmt.Sprintf("Extension: Two-Face speedup over DS2 across %d generator seeds, K=%d, p=%d", len(seeds), k, cc.P),
+		fmt.Sprintf("Extension: Two-Face speedup over DS2 across %d generator seeds, K=%d, p=%d", len(seeds), k, cc.Nodes),
 		MatrixNames(),
 		[]string{"mean", "min", "max"},
 	)
@@ -31,8 +31,8 @@ func (c Config) SeedSweep(k int, seeds []uint64) *Table {
 			cfg := cc
 			cfg.Seed = seed
 			w := cfg.BuildWorkload(s)
-			ds := cfg.Run(AlgoDS2, w, k, cfg.P)
-			tf := cfg.Run(AlgoTwoFace, w, k, cfg.P)
+			ds := cfg.Run(AlgoDS2, w, k, cfg.Nodes)
+			tf := cfg.Run(AlgoTwoFace, w, k, cfg.Nodes)
 			sp := Speedup(ds, tf)
 			if math.IsNaN(sp) {
 				continue

@@ -28,16 +28,6 @@ func init() { processLogger.Store(discardLogger) }
 // it discards everything.
 func Logger() *slog.Logger { return processLogger.Load() }
 
-// ActiveLogger returns the process-wide logger, or nil when logging is off
-// (the discarding default) — the nil-able form components like
-// cluster.SetLogger expect.
-func ActiveLogger() *slog.Logger {
-	if l := processLogger.Load(); l != discardLogger {
-		return l
-	}
-	return nil
-}
-
 // SetLogger installs the process-wide logger. A nil logger restores the
 // discarding default.
 func SetLogger(l *slog.Logger) {

@@ -68,7 +68,9 @@ func defaultSpace(cols int32, k int, s Space) Space {
 // Tune evaluates every configuration in the (defaulted) space on the given
 // workload and returns the best choice plus all evaluations sorted by
 // modeled time. The dense input's values do not matter in timing-only mode,
-// so only its shape is built.
+// so only its shape is built. It drives core directly because it sweeps
+// MaxCoalesceGap and ModelAsyncCompThreads, which the library facade does
+// not expose.
 func Tune(a *sparse.COO, k, p int, net cluster.NetModel, space Space) (Choice, []Choice, error) {
 	if k < 1 || p < 1 {
 		return Choice{}, nil, fmt.Errorf("tune: invalid K=%d or p=%d", k, p)

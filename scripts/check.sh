@@ -71,6 +71,13 @@ go test -run '^$' \
     -bench '^BenchmarkKernel(Axpy|AxpyVariants|AsyncStripeAccumulate|PanelMultiply|PanelVariants)$' \
     -benchtime 1x .
 
+echo "== harness benchmark smoke (1 iteration each, scale 0.02)"
+# The table/figure and ablation benches drive the experiment harness's API;
+# one small iteration keeps them running, not only compiling.
+TWOFACE_BENCH_SCALE=0.02 go test -run '^$' \
+    -bench '^Benchmark(Table1_Matrices|Figure8_K128|Figure12_Sensitivity|Ablation_)' \
+    -benchtime 1x .
+
 echo "== transport benchmark smoke (1 iteration each)"
 go test -run '^$' -bench '^BenchmarkGetRoundTrip$' -benchtime 1x ./internal/transport/tcp
 
