@@ -52,13 +52,6 @@ type Options struct {
 	// Verify keeps the arithmetic on (default). Setting TimingOnly skips
 	// the floating-point loops, which is how the experiment harness runs.
 	TimingOnly bool
-	// UseColumnClassifier switches from the paper's cost-model balancer to
-	// the column-popularity heuristic of its future-work discussion: dense
-	// stripes needed by at least ColumnSyncThreshold nodes go collective,
-	// everything else one-sided.
-	UseColumnClassifier bool
-	// ColumnSyncThreshold tunes the column classifier; 0 means max(2, Nodes/4).
-	ColumnSyncThreshold int
 	// TraceEvents, when positive, enables per-rank transfer tracing (capped
 	// at this many events per rank) on every cluster the system creates —
 	// plans and baselines alike. Results then carry TraceEvents and
@@ -209,10 +202,6 @@ func (s *System) params(net NetModel) core.Params {
 		p.Coef = *s.opts.Coefficients
 	} else {
 		p.Coef = DeriveCoefficients(net)
-	}
-	if s.opts.UseColumnClassifier {
-		p.Classifier = core.ClassifierColumn
-		p.ColumnSyncThreshold = s.opts.ColumnSyncThreshold
 	}
 	return p
 }

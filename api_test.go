@@ -283,27 +283,6 @@ func TestMultiplySampled(t *testing.T) {
 	}
 }
 
-func TestColumnClassifierOption(t *testing.T) {
-	a := Generate("twitter", 0.02, 31)
-	b := RandomDense(int(a.NumCols), 8, 32)
-	sys, err := New(Options{Nodes: 4, DenseColumns: 8, UseColumnClassifier: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sys.Preprocess(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := plan.Multiply(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Reference(a, b)
-	if !res.C.AlmostEqual(want, 1e-9) {
-		t.Fatal("column classifier result wrong")
-	}
-}
-
 func TestPlanSDDMMViaAPI(t *testing.T) {
 	a := Generate("arabic", 0.02, 41)
 	n := int(a.NumRows)

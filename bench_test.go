@@ -277,24 +277,6 @@ func BenchmarkAblation_ThreadSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Classifier compares the paper's cost-model balancer
-// against the column-popularity alternative it leaves as future work
-// (section 4.2), on the matrix class where they differ most.
-func BenchmarkAblation_Classifier(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		kind core.Classifier
-	}{{"model", core.ClassifierModel}, {"column", core.ClassifierColumn}} {
-		b.Run(c.name, func(b *testing.B) {
-			w := workload(b, "web")
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, w, 128, func(p *core.Params) { p.Classifier = c.kind })
-				b.ReportMetric(t*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_Sampling measures the modeled time of sampled SpMM
 // (paper section 5.4 future work) at decreasing keep rates: transfers stay
 // constant while compute shrinks.
@@ -479,7 +461,8 @@ func BenchmarkKernelDenseShift(b *testing.B) {
 // executor: the raw AXPY kernel, the async-stripe accumulate path (legacy
 // per-scalar atomics vs the stripe-local accumulator that replaced them),
 // and the sync row-panel multiply with its pre-resolved column table.
-// scripts/bench.sh records them into BENCH_kernels.json.
+// check.sh runs each once as a smoke; measure them with
+// go test -run '^$' -bench '^BenchmarkKernel' -benchmem .
 
 var benchKs = []int{32, 128, 512}
 

@@ -43,7 +43,6 @@ type cli struct {
 	ckptEvery  float64
 	report     string
 	commOut    string
-	runsFile   string
 	forceGen   bool
 	allowFMA   bool
 	cpuProfile string
@@ -71,7 +70,6 @@ func (c *cli) register(fs *flag.FlagSet) {
 	fs.Float64Var(&c.ckptEvery, "checkpoint-interval", 0, "virtual seconds between checkpoints under -recover (0 = auto)")
 	fs.StringVar(&c.report, "report", "", "write a structured JSON report of this invocation")
 	fs.StringVar(&c.commOut, "comm-out", "", "with -exp comm: write the per-matrix aggregation rows as JSON")
-	fs.StringVar(&c.runsFile, "runs-file", "BENCH_runs.json", "trajectory file appended to when -report is set (empty disables)")
 	fs.BoolVar(&c.forceGen, "force-generic", false, "pin compute kernels to the portable pure-Go loops (no SIMD dispatch)")
 	fs.BoolVar(&c.allowFMA, "allow-fma", false, "opt compute kernels into fused multiply-add assembly (ulp-level drift vs default)")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile")
@@ -79,7 +77,7 @@ func (c *cli) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.listen, "listen", "", "serve the live ops endpoint (/metrics, /report, /healthz, /debug/pprof) on this host:port")
 	fs.StringVar(&c.logLevel, "log-level", "", "structured logging to stderr at this level: debug|info|warn|error (empty = off)")
 	fs.BoolVar(&c.logJSON, "log-json", false, "emit log records as JSON lines (with -log-level)")
-	fs.StringVar(&c.compareRep, "compare-report", "", "compare two report/trajectory files (OLD,NEW) benchstat-style and exit")
+	fs.StringVar(&c.compareRep, "compare-report", "", "compare two report files (OLD,NEW) benchstat-style and exit")
 	fs.BoolVar(&c.compFail, "compare-fail", false, "with -compare-report: exit non-zero when any metric regressed")
 }
 
@@ -178,7 +176,7 @@ func run(c cli) error {
 		srv.SetStatus("done")
 	}
 	if c.report != "" {
-		if err := writeReport(c.report, c.runsFile, cfg, exp, time.Since(start), srv); err != nil {
+		if err := writeReport(c.report, cfg, exp, time.Since(start), srv); err != nil {
 			return err
 		}
 	}
@@ -198,11 +196,8 @@ func run(c cli) error {
 }
 
 // writeReport emits the invocation-level report (there is no single modeled
-// run to validate here, so it is written directly) and appends a compact
-// entry to the BENCH_runs.json trajectory — the run-level sibling of
-// BENCH_kernels.json that lets sessions compare harness behavior PR over
-// PR.
-func writeReport(path, runsFile string, cfg harness.Config, exp string, wall time.Duration, srv *obs.Server) error {
+// run to validate here, so it is written directly).
+func writeReport(path string, cfg harness.Config, exp string, wall time.Duration, srv *obs.Server) error {
 	rep := obs.NewReport("twoface-bench")
 	rep.Config = map[string]any{
 		"exp": exp, "scale": cfg.Scale, "p": cfg.Nodes, "seed": cfg.Seed,
@@ -228,27 +223,12 @@ func writeReport(path, runsFile string, cfg harness.Config, exp string, wall tim
 		return err
 	}
 	fmt.Printf("bench report: %s\n", path)
-	if runsFile == "" {
-		return nil
-	}
-	entry := map[string]any{
-		"unix_time":    time.Now().Unix(),
-		"tool":         "twoface-bench",
-		"go_version":   rep.GoVersion,
-		"commit":       rep.Commit,
-		"config":       rep.Config,
-		"wall_seconds": rep.WallSeconds,
-	}
-	if err := obs.AppendTrajectory(runsFile, entry); err != nil {
-		return err
-	}
-	fmt.Printf("trajectory: appended to %s\n", runsFile)
 	return nil
 }
 
-// compareReports is the -compare-report mode: diff two report (or
-// trajectory) files benchstat-style. Regressions print but exit zero — a
-// soft gate — unless failOnRegress makes them fatal.
+// compareReports is the -compare-report mode: diff two report files
+// benchstat-style. Regressions print but exit zero — a soft gate — unless
+// failOnRegress makes them fatal.
 func compareReports(spec string, failOnRegress bool) error {
 	oldPath, newPath, ok := strings.Cut(spec, ",")
 	if !ok || oldPath == "" || newPath == "" {

@@ -92,8 +92,7 @@ func TestConfigCarriesEveryFlag(t *testing.T) {
 		// Set per run by the harness.
 		"DenseColumns", "StripeWidth", "Net", "Coefficients", "MemBudgetElems",
 		"AsyncWorkers", "RowPanelHeight", "MaxAsyncBatchBytes", "RowCacheElems",
-		"UseColumnClassifier", "ColumnSyncThreshold", "TraceEvents", "SpanRecorder",
-		"Transport",
+		"TraceEvents", "SpanRecorder", "Transport",
 		"Logger", // attached by run, not by config
 	}
 

@@ -107,7 +107,7 @@ func TestOptionsCarriesEveryFlag(t *testing.T) {
 	}
 	notFlags := []string{
 		"StripeWidth", "Net", "Coefficients", "MemBudgetElems", "RowPanelHeight",
-		"MaxAsyncBatchBytes", "RowCacheElems", "UseColumnClassifier", "ColumnSyncThreshold",
+		"MaxAsyncBatchBytes", "RowCacheElems",
 		"Chaos", "SpanRecorder", "Logger", "Transport", // attached by run, not by options
 	}
 

@@ -68,11 +68,8 @@ func TestPrepDigestGolden(t *testing.T) {
 				add(fmt.Sprintf("%s/p%d/k%d", spec.Short, p, k), a, Params{P: p, K: k, W: w, Coef: coef})
 			}
 		}
-		switch spec.Short {
-		case "mawi":
+		if spec.Short == "mawi" {
 			add("mawi/p4/k32/balanced", a, Params{P: 4, K: 32, W: w, Coef: coef, BalanceRows: true})
-		case "twitter":
-			add("twitter/p8/k32/column", a, Params{P: 8, K: 32, W: w, Coef: coef, Classifier: ClassifierColumn})
 		}
 	}
 	checkPrepDigests(t, got)

@@ -70,35 +70,12 @@ type Params struct {
 	ModelSyncThreads      int
 	ModelAsyncCompThreads int
 
-	// Classifier selects the stripe-classification strategy. The default is
-	// the paper's cost-model balancer (section 4.2); ClassifierColumn is the
-	// alternative the paper leaves as future work: classify a stripe
-	// synchronous when its dense stripe is needed by many nodes, so
-	// multicasts are reserved for widely shared data.
-	Classifier Classifier
-	// ColumnSyncThreshold is the needer count at or above which the column
-	// classifier marks a stripe synchronous. 0 means max(2, P/4).
-	ColumnSyncThreshold int
-
 	// BalanceRows replaces the paper's equal row blocks with boundaries that
 	// equalize nonzeros per node — an extension targeting the load imbalance
 	// the paper reports for mawi (section 7.2). B's distribution is
 	// unchanged, so only A/C ownership shifts.
 	BalanceRows bool
 }
-
-// Classifier selects how remote stripes are split into sync/async.
-type Classifier int
-
-// Classifier strategies.
-const (
-	// ClassifierModel is the paper's section 4.2 cost-model balancer.
-	ClassifierModel Classifier = iota
-	// ClassifierColumn is the column-popularity heuristic of the paper's
-	// future-work discussion: dense stripes needed by many nodes are served
-	// collectively, all others one-sidedly.
-	ClassifierColumn
-)
 
 // Normalize fills defaulted fields and validates the result.
 func (p Params) Normalize() (Params, error) {
@@ -155,20 +132,6 @@ func (p Params) Normalize() (Params, error) {
 	}
 	if p.ModelSyncThreads < 1 || p.ModelAsyncCompThreads < 1 {
 		return p, fmt.Errorf("core: model thread counts must be >= 1 (%d, %d)", p.ModelSyncThreads, p.ModelAsyncCompThreads)
-	}
-	switch p.Classifier {
-	case ClassifierModel, ClassifierColumn:
-	default:
-		return p, fmt.Errorf("core: unknown classifier %d", p.Classifier)
-	}
-	if p.ColumnSyncThreshold == 0 {
-		p.ColumnSyncThreshold = p.P / 4
-		if p.ColumnSyncThreshold < 2 {
-			p.ColumnSyncThreshold = 2
-		}
-	}
-	if p.ColumnSyncThreshold < 1 {
-		return p, fmt.Errorf("core: ColumnSyncThreshold must be >= 1, got %d", p.ColumnSyncThreshold)
 	}
 	return p, nil
 }

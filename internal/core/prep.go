@@ -97,10 +97,6 @@ type Prep struct {
 
 	Stats PrepStats
 
-	// needers[sid] counts the remote nodes with at least one nonzero in
-	// dense stripe sid; filled only for the column classifier.
-	needers []int32
-
 	// Per-rank remote-row caches, created lazily by attachRowCaches and
 	// keyed to one dense input at a time: cacheKey/cacheLen identify B's
 	// backing array and cacheFP fingerprints its contents, so a different
@@ -188,12 +184,6 @@ func Preprocess(a *sparse.COO, params Params) (*Prep, error) {
 		Params: params,
 		Nodes:  make([]NodePart, params.P),
 		Dests:  make([][]int32, layout.NumStripes()),
-	}
-
-	// The column classifier needs global stripe popularity before any
-	// per-node decision (the model classifier is purely node-local).
-	if params.Classifier == ClassifierColumn && params.ForceSplit == nil {
-		prep.needers = countStripeNeeders(a, layout)
 	}
 
 	// Per-node preprocessing is independent; run the nodes concurrently.
@@ -322,16 +312,9 @@ func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 	}
 
 	var decision model.Decision
-	switch {
-	case params.ForceSplit != nil:
+	if params.ForceSplit != nil {
 		decision = forceSplit(infos, params, *params.ForceSplit)
-	case params.Classifier == ClassifierColumn:
-		sids := make([]int32, len(remote))
-		for i, r := range remote {
-			sids[i] = r.sid
-		}
-		decision = columnClassify(sids, prep.needers, params)
-	default:
+	} else {
 		// The async scheduler amortizes the per-request AlphaA over each
 		// owner-batch, so the classifier sees the batched per-stripe cost;
 		// with a batch estimate of 1 (MaxBatchBytes too small to pair two
@@ -506,41 +489,4 @@ func (p *Prep) fillStats(start time.Time, totalNNZ int64) {
 	s.ModeledPrepSeconds = prepSortCostPerNNZCmp*nnz*logN + prepBuildCostPerNNZ*nnz + prepCostPerStripe*stripes
 	s.ModeledPrepWithIOSeconds = s.ModeledPrepSeconds + (ioTextReadCostPerNNZ+ioBinWriteCostPerNNZ)*nnz
 	s.WallSeconds = time.Since(start).Seconds()
-}
-
-// countStripeNeeders returns, per dense stripe, the number of remote nodes
-// with at least one nonzero in it — the popularity signal of the column
-// classifier.
-func countStripeNeeders(a *sparse.COO, layout *Layout) []int32 {
-	p := layout.P
-	needers := make([]int32, layout.NumStripes())
-	seen := make([]bool, int(layout.NumStripes())*p)
-	for _, e := range a.Entries {
-		node := layout.RowOwner(e.Row)
-		sid := layout.StripeOfCol(e.Col)
-		if layout.StripeOwner(sid) == node {
-			continue // local-input: no transfer either way
-		}
-		idx := int(sid)*p + node
-		if !seen[idx] {
-			seen[idx] = true
-			needers[sid]++
-		}
-	}
-	return needers
-}
-
-// columnClassify implements the paper's future-work alternative: a stripe is
-// synchronous iff its dense stripe is needed by at least threshold nodes
-// (popular data rides multicasts; niche data is fetched one-sidedly).
-func columnClassify(sids []int32, needers []int32, params Params) model.Decision {
-	d := model.Decision{Async: make([]bool, len(sids))}
-	for i, sid := range sids {
-		if int(needers[sid]) < params.ColumnSyncThreshold {
-			d.Async[i] = true
-			d.NumAsync++
-		}
-	}
-	d.NumSync = len(sids) - d.NumAsync
-	return d
 }

@@ -173,72 +173,3 @@ func TestSampledExecReducesComputeCharge(t *testing.T) {
 		t.Fatalf("sampling must not change transfers: %v vs %v", fullComm, sampComm)
 	}
 }
-
-func TestColumnClassifierCorrectAndDifferent(t *testing.T) {
-	a := randomCOO(160, 160, 2500, 7)
-	b := dense.Random(160, 8, 8)
-	want, _ := a.ToCSR().Mul(b)
-
-	paramsModel := basicParams(4, 8, 8)
-	paramsCol := basicParams(4, 8, 8)
-	paramsCol.Classifier = ClassifierColumn
-
-	prepModel, err := Preprocess(a, paramsModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prepCol, err := Preprocess(a, paramsCol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clu, _ := cluster.New(4, cluster.Default())
-	for name, prep := range map[string]*Prep{"model": prepModel, "column": prepCol} {
-		res, err := Exec(prep, b, clu, ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.C.AlmostEqual(want, 1e-9) {
-			t.Fatalf("%s classifier: wrong result", name)
-		}
-	}
-}
-
-func TestColumnClassifierThreshold(t *testing.T) {
-	// A matrix with one universally needed column group and scattered rest.
-	a := sparse.NewCOO(80, 80, 0)
-	for r := int32(0); r < 80; r++ {
-		a.Append(r, 0, 1) // column 0: needed by every node
-		a.Append(r, r, 1) // diagonal: local
-	}
-	a.Append(5, 70, 1) // one niche remote access
-	a.Dedup()
-
-	params := basicParams(4, 4, 4)
-	params.Classifier = ClassifierColumn
-	params.ColumnSyncThreshold = 3
-	prep, err := Preprocess(a, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The popular stripe (col 0) must be sync on the three non-owner nodes;
-	// the niche stripe (col 70) must be async on node 0.
-	if prep.Stats.SyncStripes != 3 {
-		t.Fatalf("popular stripe: %d sync stripes, want 3", prep.Stats.SyncStripes)
-	}
-	if prep.Stats.AsyncStripes != 1 {
-		t.Fatalf("niche stripe: %d async stripes, want 1", prep.Stats.AsyncStripes)
-	}
-}
-
-func TestColumnClassifierBadParams(t *testing.T) {
-	p := basicParams(2, 4, 4)
-	p.Classifier = Classifier(99)
-	if _, err := p.Normalize(); err == nil {
-		t.Fatal("unknown classifier should fail")
-	}
-	p = basicParams(2, 4, 4)
-	p.ColumnSyncThreshold = -1
-	if _, err := p.Normalize(); err == nil {
-		t.Fatal("negative threshold should fail")
-	}
-}

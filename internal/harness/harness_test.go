@@ -50,27 +50,26 @@ func TestRunUnknownAlgo(t *testing.T) {
 }
 
 func TestRunVerifyMode(t *testing.T) {
-	// With the arithmetic on, Two-Face's C must match the reference kernel.
+	// With the arithmetic on, the C that Run computes must match the
+	// reference kernel to twoface-run -verify's tolerance. Run folds C
+	// away, so this calls execute, its body, with the options Run builds.
 	cfg := testCfg()
 	cfg.TimingOnly = false
 	spec, _ := gen.ByName("queen")
 	w := cfg.BuildWorkload(spec)
-	out := cfg.Run(AlgoTwoFace, w, 8, cfg.Nodes)
-	if out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	// Reference result.
-	csr := w.A.ToCSR()
-	want, err := csr.Mul(w.B(8))
+	want, err := w.A.ToCSR().Mul(w.B(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-run to get C (Run discards it); use the underlying pieces directly.
-	out2 := cfg.Run(AlgoDS2, w, 8, cfg.Nodes)
-	if out2.Err != nil {
-		t.Fatal(out2.Err)
+	for _, algo := range []Algo{AlgoTwoFace, AlgoDS2} {
+		res, _, err := execute(algo, w, cfg.options(w, 8, cfg.Nodes))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if !res.C.AlmostEqual(want, 1e-9) {
+			t.Fatalf("%s: C differs from the reference kernel", algo)
+		}
 	}
-	_ = want // correctness of the algorithms is asserted by their own packages
 }
 
 func TestSpeedupNaN(t *testing.T) {

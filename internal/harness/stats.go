@@ -5,12 +5,6 @@ import (
 	"sort"
 )
 
-// Benchmark statistics shared by the load harness and report emitters:
-// sample summaries with tail percentiles, dispersion (CV), and effect sizes
-// (Cohen's d) so benchmark deltas ship with the evidence that they are real
-// and not run-to-run noise. Latency distributions are long-tailed, so the
-// summaries lead with P50/P95/P99 rather than the mean.
-
 // Percentile returns the p-quantile (p in [0, 100]) of xs by linear
 // interpolation between closest ranks. NaN for an empty slice. xs is not
 // modified.
@@ -34,110 +28,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// MeanStd returns the arithmetic mean and the sample standard deviation
-// (n-1 denominator; 0 when fewer than two samples).
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return math.NaN(), 0
-	}
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, v := range xs {
-		d := v - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// CV returns the coefficient of variation (std/mean) of xs — the
-// run-to-run noise measure benchmark reports quote to justify that a
-// difference is signal. 0 when the mean is 0.
-func CV(xs []float64) float64 {
-	mean, std := MeanStd(xs)
-	if mean == 0 || math.IsNaN(mean) {
-		return 0
-	}
-	return std / math.Abs(mean)
-}
-
-// CohenD returns Cohen's d effect size between two samples using the
-// pooled standard deviation. By convention |d| >= 0.8 is a large effect;
-// +Inf when both samples are noiseless and the means differ.
-func CohenD(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return math.NaN()
-	}
-	ma, sa := MeanStd(a)
-	mb, sb := MeanStd(b)
-	na, nb := float64(len(a)), float64(len(b))
-	var pooled float64
-	if na+nb > 2 {
-		pooled = math.Sqrt(((na-1)*sa*sa + (nb-1)*sb*sb) / (na + nb - 2))
-	}
-	diff := ma - mb
-	if pooled == 0 {
-		if diff == 0 {
-			return 0
-		}
-		return math.Inf(sign(diff))
-	}
-	return diff / pooled
-}
-
-func sign(v float64) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Summary condenses one latency (or throughput) sample set.
-type Summary struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	Std  float64 `json:"std"`
-	CV   float64 `json:"cv"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-}
-
-// Summarize computes the Summary of xs (zero value for an empty slice).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	mean, std := MeanStd(xs)
-	s := Summary{
-		N: len(xs), Mean: mean, Std: std, CV: CV(xs),
-		P50: Percentile(xs, 50), P95: Percentile(xs, 95), P99: Percentile(xs, 99),
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		s.Min = math.Min(s.Min, v)
-		s.Max = math.Max(s.Max, v)
-	}
-	return s
-}
-
-// ScalingEfficiency relates measured throughput at a concurrency level to
-// perfect linear scaling from a baseline point: qps / (baseQPS * conc /
-// baseConc). 1.0 is ideal; the roll-off past the server's admission limit
-// is the bounded-saturation behavior the serving benchmark demonstrates.
-func ScalingEfficiency(baseConc int, baseQPS float64, conc int, qps float64) float64 {
-	if baseConc <= 0 || baseQPS <= 0 || conc <= 0 {
-		return math.NaN()
-	}
-	ideal := baseQPS * float64(conc) / float64(baseConc)
-	return qps / ideal
 }

@@ -29,62 +29,3 @@ func TestPercentile(t *testing.T) {
 		t.Fatal("P50 of empty sample should be NaN")
 	}
 }
-
-func TestMeanStdCV(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if mean != 5 {
-		t.Fatalf("mean = %v, want 5", mean)
-	}
-	if want := math.Sqrt(32.0 / 7.0); math.Abs(std-want) > 1e-12 {
-		t.Fatalf("std = %v, want %v (sample, n-1)", std, want)
-	}
-	if cv := CV([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(cv-std/5) > 1e-12 {
-		t.Fatalf("CV = %v, want %v", cv, std/5)
-	}
-	if _, std := MeanStd([]float64{3}); std != 0 {
-		t.Fatalf("single-sample std = %v, want 0", std)
-	}
-}
-
-func TestCohenD(t *testing.T) {
-	a := []float64{10, 11, 9, 10, 10}
-	b := []float64{14, 15, 13, 14, 14}
-	d := CohenD(b, a)
-	if d < 3 { // means 4 apart, pooled std ~0.7 — a huge effect
-		t.Fatalf("Cohen's d = %v, want a large positive effect", d)
-	}
-	if got := CohenD(a, a); got != 0 {
-		t.Fatalf("self effect = %v, want 0", got)
-	}
-	if got := CohenD([]float64{1, 1}, []float64{2, 2}); !math.IsInf(got, -1) {
-		t.Fatalf("noiseless separated samples = %v, want -Inf", got)
-	}
-	if !math.IsNaN(CohenD(nil, a)) {
-		t.Fatal("empty sample should give NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 100})
-	if s.N != 5 || s.Min != 1 || s.Max != 100 || s.P50 != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P99 <= s.P95 || s.P95 <= s.P50 {
-		t.Fatalf("tail percentiles out of order: %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatalf("empty summary = %+v", z)
-	}
-}
-
-func TestScalingEfficiency(t *testing.T) {
-	if got := ScalingEfficiency(1, 100, 4, 400); got != 1 {
-		t.Fatalf("perfect scaling = %v, want 1", got)
-	}
-	if got := ScalingEfficiency(1, 100, 4, 200); got != 0.5 {
-		t.Fatalf("half scaling = %v, want 0.5", got)
-	}
-	if !math.IsNaN(ScalingEfficiency(0, 0, 4, 200)) {
-		t.Fatal("degenerate baseline should give NaN")
-	}
-}

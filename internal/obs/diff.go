@@ -9,13 +9,13 @@ import (
 	"strings"
 )
 
-// Benchstat-style comparison of two run reports (or two trajectory
-// entries): the regression gate that answers "did this PR move the
-// makespan, and which phase moved it". Modeled metrics are deterministic in
-// this repository, so their noise threshold is tight; wall-clock metrics
-// measure the host and get a generous one. The comparison is pure data in,
-// pure data out — scripts/compare.sh and twoface-bench -compare-report wrap
-// it, and check.sh uses it as a soft gate.
+// Benchstat-style comparison of two run reports: the regression gate that
+// answers "did this PR move the makespan, and which phase moved it".
+// Modeled metrics are deterministic in this repository, so their noise
+// threshold is tight; wall-clock metrics measure the host and get a
+// generous one. The comparison is pure data in, pure data out —
+// scripts/compare.sh and twoface-bench -compare-report wrap it, and
+// check.sh uses it as a soft gate.
 
 // DiffOptions sets the noise thresholds of a comparison. Zero values take
 // the defaults.
@@ -266,16 +266,14 @@ func (d *Diff) String() string {
 	return sb.String()
 }
 
-// CompareFiles diffs two report files. Each file may be a structured run
-// report (twoface-run/-bench -report output) or a trajectory array
-// (BENCH_runs.json style), in which case its last entry is compared — "did
-// the most recent run regress against the previous baseline file".
+// CompareFiles diffs two structured run report files (twoface-run/-bench
+// -report output).
 func CompareFiles(oldPath, newPath string, opt DiffOptions) (*Diff, error) {
-	oldR, err := loadReportish(oldPath)
+	oldR, err := loadReport(oldPath)
 	if err != nil {
 		return nil, err
 	}
-	newR, err := loadReportish(newPath)
+	newR, err := loadReport(newPath)
 	if err != nil {
 		return nil, err
 	}
@@ -284,26 +282,11 @@ func CompareFiles(oldPath, newPath string, opt DiffOptions) (*Diff, error) {
 	return d, nil
 }
 
-// loadReportish reads a report file or the last entry of a trajectory
-// array, tolerating the compact trajectory entry shape (a subset of
-// Report's fields plus extras, which json ignores).
-func loadReportish(path string) (*Report, error) {
+// loadReport reads one report file.
+func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
-	}
-	trimmed := strings.TrimLeftFunc(string(data), func(r rune) bool {
-		return r == ' ' || r == '\t' || r == '\n' || r == '\r'
-	})
-	if strings.HasPrefix(trimmed, "[") {
-		var arr []json.RawMessage
-		if err := json.Unmarshal(data, &arr); err != nil {
-			return nil, fmt.Errorf("obs: %s: %w", path, err)
-		}
-		if len(arr) == 0 {
-			return nil, fmt.Errorf("obs: %s: empty trajectory", path)
-		}
-		data = arr[len(arr)-1]
 	}
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {

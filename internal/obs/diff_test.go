@@ -119,8 +119,8 @@ func TestDiffNotes(t *testing.T) {
 	}
 }
 
-// TestCompareFiles checks the file loader: a plain report on one side, a
-// trajectory array on the other (last entry wins), plus the error paths.
+// TestCompareFiles checks the file loader on two report files, plus the
+// error paths.
 func TestCompareFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, v any) string {
@@ -137,10 +137,7 @@ func TestCompareFiles(t *testing.T) {
 	}
 
 	oldPath := write("old.json", &Report{ModeledSeconds: 1.0})
-	newPath := write("new.json", []*Report{
-		{ModeledSeconds: 5.0}, // stale entry, must be ignored
-		{ModeledSeconds: 2.0},
-	})
+	newPath := write("new.json", &Report{ModeledSeconds: 2.0})
 	d, err := CompareFiles(oldPath, newPath, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -150,15 +147,11 @@ func TestCompareFiles(t *testing.T) {
 	}
 	r := findRow(t, d, "modeled_seconds")
 	if r.Old != 1.0 || r.New != 2.0 || r.Verdict != VerdictRegressed {
-		t.Errorf("trajectory comparison used the wrong entry: %+v", r)
+		t.Errorf("modeled_seconds row = %+v, want 1 → 2 regressed", r)
 	}
 
 	if _, err := CompareFiles(oldPath, filepath.Join(dir, "missing.json"), DiffOptions{}); err == nil {
 		t.Error("missing file accepted")
-	}
-	empty := write("empty.json", []*Report{})
-	if _, err := CompareFiles(oldPath, empty, DiffOptions{}); err == nil {
-		t.Error("empty trajectory accepted")
 	}
 	garbled := filepath.Join(dir, "garbled.json")
 	if err := os.WriteFile(garbled, []byte("not json"), 0o644); err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -15,9 +14,8 @@ import (
 // Structured run reports: one JSON document per run, carrying everything a
 // later analysis (or a regression bot diffing two PRs) needs — the
 // configuration, the per-rank modeled-time breakdown, the honest
-// data-movement counters, a metrics snapshot, and build provenance. The
-// trajectory file (BENCH_runs.json) is the append-only history of such
-// documents across sessions, the run-level sibling of BENCH_kernels.json.
+// data-movement counters, a metrics snapshot, and build provenance.
+// CompareFiles diffs two of them.
 
 // RankReport is one rank's slice of a run report.
 type RankReport struct {
@@ -172,52 +170,6 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// AppendTrajectory appends entry to the JSON array stored at path, creating
-// the file if needed. The write is crash-safe: the new array goes to a
-// uniquely named temp file in the same directory, is fsynced, and only then
-// renamed over the original — an interrupted twoface-bench can at worst
-// leave a stray temp file, never a truncated or corrupt history.
-func AppendTrajectory(path string, entry any) error {
-	var arr []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &arr); err != nil {
-			return fmt.Errorf("obs: %s is not a JSON array: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	arr = append(arr, raw)
-	out, err := json.MarshalIndent(arr, "", "  ")
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(out, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // RecordSkew publishes straggler gauges for the given breakdowns into the

@@ -139,38 +139,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAppendTrajectory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
-	if err := AppendTrajectory(path, map[string]any{"run": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendTrajectory(path, map[string]any{"run": 2}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal(data, &arr); err != nil {
-		t.Fatal(err)
-	}
-	if len(arr) != 2 || arr[0]["run"] != float64(1) || arr[1]["run"] != float64(2) {
-		t.Fatalf("trajectory = %+v", arr)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-
-	// A corrupt history must refuse the append rather than overwrite it.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendTrajectory(path, map[string]any{"run": 3}); err == nil {
-		t.Fatal("append to corrupt trajectory succeeded")
-	}
-}
-
 func TestRecordSkew(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetEnabled(true)

@@ -211,7 +211,6 @@ cmp "$tmp/c_tcp.bin" "$tmp/c_sim.bin" || {
 
 echo "== serve smoke (resident-plan daemon: multiply, coalesce, metrics, drain)"
 go build -o "$tmp/twoface-serve" ./cmd/twoface-serve
-go build -o "$tmp/twoface-loadgen" ./cmd/twoface-loadgen
 # Both kernel-dispatch modes: SIMD (default) and the forced-generic loops.
 for genflag in "" "-force-generic"; do
     "$tmp/twoface-serve" -plans web:0.05 -K 32 -p 4 -listen 127.0.0.1:0 \
@@ -231,8 +230,26 @@ for genflag in "" "-force-generic"; do
     # One multiply over plain HTTP answers with a result checksum.
     curl -sf -X POST "http://$saddr/v1/multiply" -H 'Content-Type: application/json' \
         -d '{"plan":"web","seed":1}' | grep -q '"checksum":'
-    # Two identical concurrent requests: the duplicate must ride the leader.
-    "$tmp/twoface-loadgen" -target "$saddr" -probe-coalesce
+    # Two identical concurrent requests: a leader held in flight for 500 ms
+    # (-allow-hold) and, inside that window, a duplicate that must ride it.
+    curl -s -o "$tmp/lead.json" -w '%{http_code}' -X POST "http://$saddr/v1/multiply" \
+        -H 'Content-Type: application/json' \
+        -d '{"plan":"web","seed":12345,"hold_ms":500}' >"$tmp/lead.code" &
+    lead_pid=$!
+    sleep 0.15
+    follow_code=$(curl -s -o "$tmp/follow.json" -w '%{http_code}' -X POST \
+        "http://$saddr/v1/multiply" -H 'Content-Type: application/json' \
+        -d '{"plan":"web","seed":12345}') || true
+    wait "$lead_pid" || true
+    lead_code=$(cat "$tmp/lead.code")
+    if [ "$lead_code" != 200 ] || [ "$follow_code" != 200 ] ||
+        ! grep -q '"coalesced":false' "$tmp/lead.json" ||
+        ! grep -q '"coalesced":true' "$tmp/follow.json"; then
+        echo "coalesce probe: leader HTTP $lead_code, follower HTTP $follow_code;" \
+            "want 200 each, the leader executed and the duplicate coalesced" >&2
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
     curl -sf "http://$saddr/metrics" >"$tmp/serve_metrics.out"
     grep -q '^# EOF$' "$tmp/serve_metrics.out"
     coalesced=$(sed -n 's/^serve_coalesced_total \([0-9]*\)$/\1/p' "$tmp/serve_metrics.out")

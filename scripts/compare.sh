@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# Diff two run reports (or trajectory files) benchstat-style: which metrics
+# Diff two run reports benchstat-style: which metrics
 # moved past their noise thresholds, which phase moved the makespan, whether
 # the configs are even comparable. Wraps twoface-bench -compare-report.
 #
 #   scripts/compare.sh old.json new.json          # print the diff, exit 0
 #   scripts/compare.sh -fail old.json new.json    # exit 1 on any regression
 #
-# Each file may be a -report output (twoface-run or twoface-bench) or a
-# trajectory array (BENCH_runs.json style), in which case its last entry is
-# compared.
+# Each file is a -report output (twoface-run or twoface-bench).
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 

@@ -147,7 +147,7 @@ func AnalyzeCriticalPath(breakdowns []Breakdown) *CriticalPath {
 	return obs.AnalyzeBreakdowns(breakdowns)
 }
 
-// CompareReportFiles diffs two run report (or trajectory) files with the
+// CompareReportFiles diffs two run report files with the
 // default noise thresholds — the twoface-bench -compare-report engine.
 func CompareReportFiles(oldPath, newPath string) (*ReportDiff, error) {
 	return obs.CompareFiles(oldPath, newPath, obs.DiffOptions{})
