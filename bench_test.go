@@ -665,15 +665,36 @@ func newPanelGather(entries []sparse.NZ) panelGather {
 	return g
 }
 
-// multiply is the shipped loop in its shared-row form: one AxpyGather per row
-// into the cleared panel-local row, flushed with one atomic AddRange.
-func (g *panelGather) multiply(table [][]float64, out *atomicfloat.Slice, acc []float64, k int) {
+// multiply is the shipped loop for unshared rows, as spmmKernel.panel runs
+// it: one gather per row straight into C's row, which starts at +0. Every
+// bench panel row is unshared. gather is kernels.AxpyGather or one
+// implementation set's.
+func (g *panelGather) multiply(gather func(y, vals []float64, stride int, slots []int32, rows [][]float64), table [][]float64, p *panelOut, k int) {
 	for i, row := range g.rows {
 		lo, hi := g.runs[i], g.runs[i+1]
-		clear(acc)
-		kernels.AxpyGather(acc, g.vals[2*lo:], 2, g.slots[lo:hi], table)
-		out.AddRange(int(row)*k, acc)
+		dst := p.c[int(row)*k : int(row+1)*k]
+		clear(dst)
+		gather(dst, g.vals[2*lo:], 2, g.slots[lo:hi], table)
 	}
+}
+
+// multiplyShared is the shipped loop for shared rows: one AxpyGather per row
+// into the cleared panel-local row, flushed with one atomic AddRange.
+func (g *panelGather) multiplyShared(table [][]float64, p *panelOut, k int) {
+	for i, row := range g.rows {
+		lo, hi := g.runs[i], g.runs[i+1]
+		clear(p.acc)
+		kernels.AxpyGather(p.acc, g.vals[2*lo:], 2, g.slots[lo:hi], table)
+		p.out.AddRange(int(row)*k, p.acc)
+	}
+}
+
+// panelOut is one panel benchmark's output: C's rows, their atomic view for
+// the shared-row forms, and a panel-local row buffer.
+type panelOut struct {
+	c   []float64
+	out *atomicfloat.Slice
+	acc []float64
 }
 
 // benchPanelTable returns the bench panel's dense rows, one per column.
@@ -686,32 +707,39 @@ func benchPanelTable(nCols, k int) [][]float64 {
 	return table
 }
 
+// runPanel times multiply over the bench panel's rows at width k. Steady
+// state must not allocate.
+func runPanel(b *testing.B, nnz, rows, k int, multiply func(p *panelOut)) {
+	c := make([]float64, rows*k)
+	p := &panelOut{c: c, out: atomicfloat.View(c), acc: make([]float64, k)}
+	b.ReportAllocs()
+	b.SetBytes(int64(nnz * k * 16))
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		multiply(p)
+	}
+}
+
 // BenchmarkKernelPanelMultiply measures Algorithm 2's row-panel multiply:
-// "gather" as shipped (plan-derived column table, one register-tiled
-// AxpyGather per output row) and "tiled" as before it (pair-tiled Axpy2
-// accumulation), both into a panel-local row with one atomic AddRange per
-// output row. Steady state must not allocate.
+// "gather" as shipped for unshared rows (plan-derived column table, one
+// register-tiled AxpyGather per output row, straight into C), "gather+atomic"
+// the same for shared rows (into a panel-local row, flushed with one atomic
+// AddRange), and "tiled" as before AxpyGather (pair-tiled Axpy2 accumulation,
+// atomic flush).
 func BenchmarkKernelPanelMultiply(b *testing.B) {
 	entries := benchPanel()
 	g := newPanelGather(entries)
 	const rows, nCols = 32, 128
 	for _, k := range benchKs {
 		table := benchPanelTable(nCols, k)
-		run := func(b *testing.B, multiply func(out *atomicfloat.Slice, acc []float64)) {
-			out := atomicfloat.View(make([]float64, rows*k))
-			acc := make([]float64, k)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(entries) * k * 16))
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				multiply(out, acc)
-			}
-		}
 		b.Run(fmt.Sprintf("K=%d/gather", k), func(b *testing.B) {
-			run(b, func(out *atomicfloat.Slice, acc []float64) { g.multiply(table, out, acc, k) })
+			runPanel(b, len(entries), rows, k, func(p *panelOut) { g.multiply(kernels.AxpyGather, table, p, k) })
+		})
+		b.Run(fmt.Sprintf("K=%d/gather+atomic", k), func(b *testing.B) {
+			runPanel(b, len(entries), rows, k, func(p *panelOut) { g.multiplyShared(table, p, k) })
 		})
 		b.Run(fmt.Sprintf("K=%d/tiled", k), func(b *testing.B) {
-			run(b, func(out *atomicfloat.Slice, acc []float64) { panelMultiplyTiled(entries, table, out, acc, k) })
+			runPanel(b, len(entries), rows, k, func(p *panelOut) { panelMultiplyTiled(entries, table, p.out, p.acc, k) })
 		})
 	}
 }
@@ -722,6 +750,9 @@ func BenchmarkKernelPanelMultiply(b *testing.B) {
 // "tiled" adds the pair-wise Axpy2 register tiling on top (the formulation
 // before AxpyGather), and "gather" holds the output tile in registers across
 // the whole row (the shipped formulation, as in BenchmarkKernelPanelMultiply).
+// The first three flush each row with an atomic AddRange, as they did when
+// they shipped. "gather/<variant>" runs the shipped loop on each
+// implementation set this host has, side by side.
 func BenchmarkKernelPanelVariants(b *testing.B) {
 	entries := benchPanel()
 	g := newPanelGather(entries)
@@ -730,43 +761,38 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 	generic := impls[0]
 	for _, k := range benchKs {
 		table := benchPanelTable(nCols, k)
-		run := func(b *testing.B, multiply func(out *atomicfloat.Slice, acc []float64)) {
-			out := atomicfloat.View(make([]float64, rows*k))
-			acc := make([]float64, k)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(entries) * k * 16))
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				multiply(out, acc)
-			}
-		}
-		perNZ := func(axpy func(float64, []float64, []float64)) func(out *atomicfloat.Slice, acc []float64) {
-			return func(out *atomicfloat.Slice, acc []float64) {
-				clear(acc)
+		perNZ := func(axpy func(float64, []float64, []float64)) func(p *panelOut) {
+			return func(p *panelOut) {
+				clear(p.acc)
 				prevRow := entries[0].Row
 				for _, e := range entries {
 					if e.Row != prevRow {
-						out.AddRange(int(prevRow)*k, acc)
-						clear(acc)
+						p.out.AddRange(int(prevRow)*k, p.acc)
+						clear(p.acc)
 						prevRow = e.Row
 					}
-					axpy(e.Val, table[e.Col], acc)
+					axpy(e.Val, table[e.Col], p.acc)
 				}
-				out.AddRange(int(prevRow)*k, acc)
+				p.out.AddRange(int(prevRow)*k, p.acc)
 			}
 		}
 		b.Run(fmt.Sprintf("K=%d/generic", k), func(b *testing.B) {
-			run(b, perNZ(generic.Axpy))
+			runPanel(b, len(entries), rows, k, perNZ(generic.Axpy))
 		})
 		b.Run(fmt.Sprintf("K=%d/simd", k), func(b *testing.B) {
-			run(b, perNZ(kernels.Axpy))
+			runPanel(b, len(entries), rows, k, perNZ(kernels.Axpy))
 		})
 		b.Run(fmt.Sprintf("K=%d/tiled", k), func(b *testing.B) {
-			run(b, func(out *atomicfloat.Slice, acc []float64) { panelMultiplyTiled(entries, table, out, acc, k) })
+			runPanel(b, len(entries), rows, k, func(p *panelOut) { panelMultiplyTiled(entries, table, p.out, p.acc, k) })
 		})
 		b.Run(fmt.Sprintf("K=%d/gather", k), func(b *testing.B) {
-			run(b, func(out *atomicfloat.Slice, acc []float64) { g.multiply(table, out, acc, k) })
+			runPanel(b, len(entries), rows, k, func(p *panelOut) { g.multiply(kernels.AxpyGather, table, p, k) })
 		})
+		for _, v := range impls {
+			b.Run(fmt.Sprintf("K=%d/gather/%s", k, v.Variant), func(b *testing.B) {
+				runPanel(b, len(entries), rows, k, func(p *panelOut) { g.multiply(v.AxpyGather, table, p, k) })
+			})
+		}
 	}
 }
 

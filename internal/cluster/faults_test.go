@@ -355,6 +355,43 @@ func TestMulticastLegRetry(t *testing.T) {
 	}
 }
 
+// TestMulticastLegExhaustion: a leg that fails on every attempt is given
+// exactly MaxAttempts attempts, retried after all but the last, and then
+// fails with ErrRetryExhausted.
+func TestMulticastLegExhaustion(t *testing.T) {
+	c := mustNew(t, 2)
+	var attempts []int // appended only by rank 1, the one pulling
+	c.SetFaultInjector(&testInjector{
+		retry: RetryPolicy{MaxAttempts: 3},
+		leg: func(origin, root, attempt int) AttemptOutcome {
+			attempts = append(attempts, attempt)
+			return AttemptOutcome{Fail: true}
+		},
+	})
+	err := c.Run(func(r *Rank) error {
+		r.Expose("w", []float64{4, 5})
+		if err := r.Barrier(); err != nil {
+			return err
+		}
+		if r.ID != 1 {
+			return nil
+		}
+		if _, _, err := r.MulticastPull(0, "w", 0, 2, into(make([]float64, 2))); !errors.Is(err, ErrRetryExhausted) {
+			return fmt.Errorf("leg failing every attempt returned %v, want ErrRetryExhausted", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(attempts) != "[1 2 3]" {
+		t.Errorf("injector saw attempts %v, want [1 2 3]", attempts)
+	}
+	if rs := c.ResilienceStats()[1]; rs.LegRetries != 2 {
+		t.Errorf("LegRetries = %d, want 2 (attempts 1 and 2 retried; attempt 3 exhausts)", rs.LegRetries)
+	}
+}
+
 // TestStragglerScalesCharges: ScaleCharge multiplies the afflicted rank's
 // charges in the matching categories only.
 func TestStragglerScalesCharges(t *testing.T) {

@@ -210,6 +210,49 @@ func TestTargetContentionCharging(t *testing.T) {
 	}
 }
 
+// Target contention is charged only for a true one-sided get from a peer.
+// A rank reading its own window charges nothing, and neither do the
+// record=false re-fetches (the degraded fallback and the recovery pull),
+// which model root-driven collectives whose cost the root carries.
+func TestTargetContentionSkipsSelfAndRefetch(t *testing.T) {
+	net := Default()
+	net.TargetContention = 0.5
+	regions := []Region{{Off: 0, Elems: 50}}
+	for _, tc := range []struct {
+		name string
+		get  func(r *Rank, dst []float64) (int64, error)
+	}{
+		{"self-get", func(r *Rank, dst []float64) (int64, error) { return r.GetIndexed(r.ID, "w", regions, dst) }},
+		{"fallback", func(r *Rank, dst []float64) (int64, error) { return r.SyncFallbackPull(0, "w", regions, dst) }},
+		{"recover", func(r *Rank, dst []float64) (int64, error) { return r.RecoverPull(0, "w", regions, dst) }},
+	} {
+		c, err := New(2, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Run(func(r *Rank) error {
+			r.Expose("w", make([]float64, 100))
+			if err := r.Barrier(); err != nil {
+				return err
+			}
+			if r.ID == 1 {
+				if n, err := tc.get(r, make([]float64, 50)); err != nil || n != 50 {
+					return fmt.Errorf("moved %d elems: %v", n, err)
+				}
+			}
+			return r.Barrier()
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for rank, bd := range c.Breakdowns() {
+			if bd.AsyncComm != 0 {
+				t.Errorf("%s: rank %d charged %v AsyncComm, want no target contention", tc.name, rank, bd.AsyncComm)
+			}
+		}
+	}
+}
+
 func TestOneSidedGetsCounting(t *testing.T) {
 	c := mustNew(t, 2)
 	err := c.Run(func(r *Rank) error {

@@ -21,6 +21,9 @@ const (
 	// VariantNEON is the arm64 NEON assembly (FMLA, bit-identical to the
 	// generic code the Go compiler fuses on arm64).
 	VariantNEON
+	// VariantAVX512 is the AVX2 set with a 512-bit AxpyGather (separate
+	// multiply and add, bit-identical to generic).
+	VariantAVX512
 )
 
 // String returns the variant's short name as used in benchmarks and reports.
@@ -32,6 +35,8 @@ func (v Variant) String() string {
 		return "avx2+fma"
 	case VariantNEON:
 		return "neon"
+	case VariantAVX512:
+		return "avx512"
 	}
 	return "generic"
 }

@@ -32,60 +32,119 @@ func gatherValue(rng *rand.Rand) float64 {
 
 // Every implementation's AxpyGather must store exactly the bits of the same
 // implementation's Axpy chained over the terms in order — the FMA set
-// included, whose gather fuses each term as its Axpy does — over lengths that
-// hit every tile and tail, term counts on both sides of a pair, repeated
-// slots, strided multipliers, and non-finite and subnormal inputs.
+// included, whose gather fuses each term as its Axpy does — on every
+// forEachGatherCase input.
 func TestAxpyGatherMatchesChainedAxpy(t *testing.T) {
-	ks := []int{1, 3, 4, 5, 31, 32, 33, 127, 128, 130, 512}
-	ms := []int{1, 2, 3, 65}
 	for _, v := range Implementations() {
 		t.Run(v.Variant.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(11, uint64(v.Variant)))
-			for _, k := range ks {
-				for _, m := range ms {
-					for _, special := range []bool{false, true} {
-						for _, stride := range []int{1, 2} {
-							draw := func() float64 {
-								if special && rng.IntN(4) == 0 {
-									return gatherValue(rng)
-								}
-								return 2*rng.Float64() - 1
-							}
-							// Fewer rows than terms, so slots repeat.
-							rows := make([][]float64, max(1, m/2))
-							for r := range rows {
-								rows[r] = make([]float64, k)
-								for i := range rows[r] {
-									rows[r][i] = draw()
-								}
-							}
-							slots := make([]int32, m)
-							vals := make([]float64, (m-1)*stride+1)
-							for j := range slots {
-								slots[j] = int32(rng.IntN(len(rows)))
-								vals[j*stride] = draw()
-							}
-							y := make([]float64, k)
-							for i := range y {
-								y[i] = draw()
-							}
-							want := append([]float64(nil), y...)
-							for j, s := range slots {
-								v.Axpy(vals[j*stride], rows[s], want)
-							}
-							v.AxpyGather(y, vals, stride, slots, rows)
-							for i := range want {
-								if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
-									t.Fatalf("k=%d m=%d stride=%d special=%v: y[%d] = %x, chained Axpy %x",
-										k, m, stride, special, i, math.Float64bits(y[i]), math.Float64bits(want[i]))
-								}
-							}
-						}
-					}
+			forEachGatherCase(rng, func(c gatherCase) {
+				want := append([]float64(nil), c.y...)
+				for j, s := range c.slots {
+					v.Axpy(c.vals[j*c.stride], c.rows[s], want)
 				}
-			}
+				got := append([]float64(nil), c.y...)
+				v.AxpyGather(got, c.vals, c.stride, c.slots, c.rows)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("%v: y[%d] = %x, chained Axpy %x",
+						c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			})
 		})
 	}
+}
+
+// Every bit-exact variant's AxpyGather stores the generic set's bits, not only
+// those of its own Axpy chain: C's bit-identity across hosts rests on it. The
+// FMA set rounds once per term by design and is held to its own chain above.
+func TestAxpyGatherMatchesGeneric(t *testing.T) {
+	ref := genericRef()
+	for _, v := range Implementations() {
+		if v.Variant == VariantGeneric || v.Variant == VariantAVX2FMA {
+			continue
+		}
+		t.Run(v.Variant.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(13, uint64(v.Variant)))
+			forEachGatherCase(rng, func(c gatherCase) {
+				want := append([]float64(nil), c.y...)
+				ref.AxpyGather(want, c.vals, c.stride, c.slots, c.rows)
+				got := append([]float64(nil), c.y...)
+				v.AxpyGather(got, c.vals, c.stride, c.slots, c.rows)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("%v: y[%d] = %x, generic %x",
+						c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			})
+		})
+	}
+}
+
+// gatherCase is one AxpyGather input: y, and m terms over repeated rows.
+type gatherCase struct {
+	k, m, stride int
+	special      bool
+	y, vals      []float64
+	slots        []int32
+	rows         [][]float64
+}
+
+func (c gatherCase) String() string {
+	return fmt.Sprintf("k=%d m=%d stride=%d special=%v", c.k, c.m, c.stride, c.special)
+}
+
+// forEachGatherCase calls f on lengths that hit every tile and tail of every
+// gather body (the 512-bit body's 128/64/32/8 tiles, the 256-bit body's
+// 32/16/8/4 tiles, and their scalar tails), term counts on both sides of a
+// pair, repeated slots, strided multipliers, and non-finite and subnormal
+// inputs.
+func forEachGatherCase(rng *rand.Rand, f func(gatherCase)) {
+	ks := []int{1, 3, 4, 5, 8, 16, 31, 32, 33, 63, 64, 65, 96, 127, 128, 130, 192, 200, 256, 512}
+	ms := []int{1, 2, 3, 65}
+	for _, k := range ks {
+		for _, m := range ms {
+			for _, special := range []bool{false, true} {
+				for _, stride := range []int{1, 2} {
+					draw := func() float64 {
+						if special && rng.IntN(4) == 0 {
+							return gatherValue(rng)
+						}
+						return 2*rng.Float64() - 1
+					}
+					c := gatherCase{k: k, m: m, stride: stride, special: special}
+					// Fewer rows than terms, so slots repeat.
+					c.rows = make([][]float64, max(1, m/2))
+					for r := range c.rows {
+						c.rows[r] = make([]float64, k)
+						for i := range c.rows[r] {
+							c.rows[r][i] = draw()
+						}
+					}
+					c.slots = make([]int32, m)
+					c.vals = make([]float64, (m-1)*stride+1)
+					for j := range c.slots {
+						c.slots[j] = int32(rng.IntN(len(c.rows)))
+						c.vals[j*stride] = draw()
+					}
+					c.y = make([]float64, k)
+					for i := range c.y {
+						c.y[i] = draw()
+					}
+					f(c)
+				}
+			}
+		}
+	}
+}
+
+// firstBitDiff returns the first index where got and want differ in their
+// bits, or -1.
+func firstBitDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // The package-level AxpyGather answers through the active set, and a short

@@ -5,12 +5,13 @@
 //
 // The package is a dispatching layer. At init it detects the host CPU and
 // binds each kernel to the best available implementation: hand-written Go
-// assembly (AVX2 on amd64, NEON on arm64, plus an opt-in FMA variant on
-// amd64) or the pure-Go 4-way unrolls that remain the always-available
-// fallback on every architecture. Except for the explicitly opt-in FMA
-// variant (SetAllowFMA / TWOFACE_ALLOW_FMA), every implementation of a
-// kernel is bit-identical to the generic one on every input, so results do
-// not depend on the host: the assembly mirrors the generic code's exact
+// assembly (AVX2 on amd64, with a 512-bit AxpyGather where AVX-512 is
+// usable; NEON on arm64; plus an opt-in FMA variant on amd64) or the pure-Go
+// 4-way unrolls that remain the always-available fallback on every
+// architecture. Except for the explicitly opt-in FMA variant (SetAllowFMA /
+// TWOFACE_ALLOW_FMA), every implementation of a kernel is bit-identical to
+// the generic one on every input, so results do not depend on the host or
+// its vector width: the assembly mirrors the generic code's exact
 // operation order and rounding (separate multiply and add on amd64, fused
 // multiply-add on arm64 where the Go compiler itself fuses). SetForceGeneric
 // or TWOFACE_FORCE_GENERIC=1 pins the generic implementations for A/B runs.
@@ -112,8 +113,9 @@ func Axpy2(a0 float64, x0 []float64, a1 float64, x1 []float64, y []float64) {
 // one term per slot in slot order, each a multiply then an add (one fused
 // multiply-add under the FMA opt-in) — bit-identical to the chained calls
 // Axpy(vals[j·stride], rows[slots[j]], y) for j = 0…len(slots)−1. This is the
-// sync panel kernel: the amd64 bodies hold a 32-element tile of y in
-// registers across every term, so y is loaded and stored once per call
+// sync panel kernel: the amd64 bodies hold a tile of y in registers across
+// every term (32 elements at 256 bits, 128 at 512), so y is loaded and
+// stored once per call
 // rather than once per term (Axpy) or per pair of terms (Axpy2). stride lets
 // vals view the multipliers inside larger records, read in place.
 //

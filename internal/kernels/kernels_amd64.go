@@ -1,9 +1,10 @@
 package kernels
 
-// Declarations for the AVX2/FMA assembly kernels in kernels_amd64.s and the
-// slice wrappers that bind them into the dispatch table. All assembly
-// entry points take raw base pointers plus an element count n >= 1; the
-// wrappers receive equal-length non-empty slices from the dispatch layer.
+// Declarations for the AVX2, FMA and AVX-512 assembly kernels in
+// kernels_amd64.s and the slice wrappers that bind them into the dispatch
+// table. All assembly entry points take raw base pointers plus an element
+// count n >= 1; the wrappers receive equal-length non-empty slices from the
+// dispatch layer.
 //
 // The AVX2 variants use separate VMULPD/VADDPD so every element rounds
 // twice, exactly like the generic Go code (the compiler does not fuse on
@@ -11,7 +12,9 @@ package kernels
 // variants (VFMADD231PD) round once per multiply-add and are only reachable
 // through the explicit AllowFMA opt-in. ScaleTo/Add/Scale have no
 // multiply-add to fuse, so the FMA implementation set reuses their AVX2
-// bodies.
+// bodies. The AVX512 set is the AVX2 set with one 512-bit body, AxpyGather:
+// it is the sync-panel kernel and the only one hot on any workload, so no
+// other kernel has a 512-bit form.
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
@@ -56,6 +59,9 @@ func axpyQuadFMA(x *float64, a0 float64, y0 *float64, a1 float64, y1 *float64, a
 func axpyGatherAVX2(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
 
 //go:noescape
+func axpyGatherAVX512(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
+
+//go:noescape
 func axpyGatherFMA(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
 
 var avx2Impl = impl{
@@ -88,6 +94,15 @@ var avx2Impl = impl{
 		axpyGatherAVX2(&y[0], len(y), &vals[0], stride, &slots[0], len(slots), &rows[0])
 	},
 }
+
+var avx512Impl = func() impl {
+	t := avx2Impl
+	t.variant = VariantAVX512
+	t.axpyGather = func(y, vals []float64, stride int, slots []int32, rows [][]float64) {
+		axpyGatherAVX512(&y[0], len(y), &vals[0], stride, &slots[0], len(slots), &rows[0])
+	}
+	return t
+}()
 
 var fmaImpl = impl{
 	variant: VariantAVX2FMA,

@@ -608,10 +608,10 @@ fquaddone:
 	MOVQ BX, R10; \
 	MOVQ DX, R11
 
-// TERM_LOAD broadcasts term j's multiplier and points R13 at its source row's
-// tile: R13 = rows[slots[j]].ptr + AX.
-#define TERM_LOAD \
-	VBROADCASTSD (R9), Y15; \
+// TERM_LOAD broadcasts term j's multiplier into mul and points R13 at its
+// source row's tile: R13 = rows[slots[j]].ptr + AX.
+#define TERM_LOAD(mul) \
+	VBROADCASTSD (R9), mul; \
 	MOVLQSX (R10), R13; \
 	LEAQ (R13)(R13*2), R13; \
 	MOVQ (R8)(R13*8), R13; \
@@ -660,7 +660,7 @@ g32:
 	TERMS_BEGIN
 
 g32term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	MULADD(0, Y0)
 	MULADD(32, Y1)
 	MULADD(64, Y2)
@@ -693,7 +693,7 @@ g16:
 	TERMS_BEGIN
 
 g16term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	MULADD(0, Y0)
 	MULADD(32, Y1)
 	MULADD(64, Y2)
@@ -715,7 +715,7 @@ g8:
 	TERMS_BEGIN
 
 g8term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	MULADD(0, Y0)
 	MULADD(32, Y1)
 	TERMS_NEXT(g8term)
@@ -732,7 +732,7 @@ g4:
 	TERMS_BEGIN
 
 g4term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	MULADD(0, Y0)
 	TERMS_NEXT(g4term)
 	VMOVUPD Y0, 0(DI)
@@ -747,7 +747,7 @@ g1:
 	TERMS_BEGIN
 
 g1term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	VMOVSD (R13), X8
 	VMULSD X15, X8, X8
 	VADDSD X0, X8, X0
@@ -788,7 +788,7 @@ fg32:
 	TERMS_BEGIN
 
 fg32term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	FMULADD(0, Y0)
 	FMULADD(32, Y1)
 	FMULADD(64, Y2)
@@ -821,7 +821,7 @@ fg16:
 	TERMS_BEGIN
 
 fg16term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	FMULADD(0, Y0)
 	FMULADD(32, Y1)
 	FMULADD(64, Y2)
@@ -843,7 +843,7 @@ fg8:
 	TERMS_BEGIN
 
 fg8term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	FMULADD(0, Y0)
 	FMULADD(32, Y1)
 	TERMS_NEXT(fg8term)
@@ -860,7 +860,7 @@ fg4:
 	TERMS_BEGIN
 
 fg4term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	FMULADD(0, Y0)
 	TERMS_NEXT(fg4term)
 	VMOVUPD Y0, 0(DI)
@@ -875,7 +875,7 @@ fg1:
 	TERMS_BEGIN
 
 fg1term:
-	TERM_LOAD
+	TERM_LOAD(Y15)
 	VFMADD231SD (R13), X15, X0
 	TERMS_NEXT(fg1term)
 	VMOVSD X0, (DI)
@@ -885,5 +885,191 @@ fg1term:
 	JMP  fg1
 
 fgdone:
+	VZEROUPPER
+	RET
+
+// The 512-bit gather kernel, the AVX512 set's only body of its own. Same
+// contract, registers and term walk as axpyGatherAVX2, at twice the width:
+// a 128-element tile of y in Z0-Z15 (a whole K=128 row, so every term's
+// source row is read once per call), then one 64- and 32-element tile, 8-wide
+// tiles and a scalar tail. Z16-Z30 take the loads, Z31 the multiplier. Each
+// term repeats axpyAVX2's forms and operand order, VMULPD x*alpha then VADDPD
+// product+acc with no FMA, so the stored bits are exactly those of the
+// chained Axpy of the AVX2 and generic sets.
+
+// MULADD512 is MULADD on one 8-wide vector, loading through tmp.
+#define MULADD512(off, tmp, acc) \
+	VMOVUPD off(R13), tmp; \
+	VMULPD  Z31, tmp, tmp; \
+	VADDPD  acc, tmp, acc
+
+// func axpyGatherAVX512(y *float64, n int, vals *float64, stride int, slots *int32, m int, rows *[]float64)
+TEXT ·axpyGatherAVX512(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ vals+16(FP), SI
+	MOVQ stride+24(FP), R12
+	SHLQ $3, R12
+	MOVQ slots+32(FP), BX
+	MOVQ m+40(FP), DX
+	MOVQ rows+48(FP), R8
+	XORQ AX, AX
+
+z128:
+	CMPQ CX, $128
+	JLT  z64
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD 512(DI), Z8
+	VMOVUPD 576(DI), Z9
+	VMOVUPD 640(DI), Z10
+	VMOVUPD 704(DI), Z11
+	VMOVUPD 768(DI), Z12
+	VMOVUPD 832(DI), Z13
+	VMOVUPD 896(DI), Z14
+	VMOVUPD 960(DI), Z15
+	TERMS_BEGIN
+
+z128term:
+	TERM_LOAD(Z31)
+	MULADD512(0, Z16, Z0)
+	MULADD512(64, Z17, Z1)
+	MULADD512(128, Z18, Z2)
+	MULADD512(192, Z19, Z3)
+	MULADD512(256, Z20, Z4)
+	MULADD512(320, Z21, Z5)
+	MULADD512(384, Z22, Z6)
+	MULADD512(448, Z23, Z7)
+	MULADD512(512, Z24, Z8)
+	MULADD512(576, Z25, Z9)
+	MULADD512(640, Z26, Z10)
+	MULADD512(704, Z27, Z11)
+	MULADD512(768, Z28, Z12)
+	MULADD512(832, Z29, Z13)
+	MULADD512(896, Z30, Z14)
+	MULADD512(960, Z16, Z15)
+	TERMS_NEXT(z128term)
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z8, 512(DI)
+	VMOVUPD Z9, 576(DI)
+	VMOVUPD Z10, 640(DI)
+	VMOVUPD Z11, 704(DI)
+	VMOVUPD Z12, 768(DI)
+	VMOVUPD Z13, 832(DI)
+	VMOVUPD Z14, 896(DI)
+	VMOVUPD Z15, 960(DI)
+	ADDQ $1024, DI
+	ADDQ $1024, AX
+	SUBQ $128, CX
+	JMP  z128
+
+z64:
+	CMPQ CX, $64
+	JLT  z32
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	TERMS_BEGIN
+
+z64term:
+	TERM_LOAD(Z31)
+	MULADD512(0, Z16, Z0)
+	MULADD512(64, Z17, Z1)
+	MULADD512(128, Z18, Z2)
+	MULADD512(192, Z19, Z3)
+	MULADD512(256, Z20, Z4)
+	MULADD512(320, Z21, Z5)
+	MULADD512(384, Z22, Z6)
+	MULADD512(448, Z23, Z7)
+	TERMS_NEXT(z64term)
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, AX
+	SUBQ $64, CX
+
+z32:
+	CMPQ CX, $32
+	JLT  z8
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	TERMS_BEGIN
+
+z32term:
+	TERM_LOAD(Z31)
+	MULADD512(0, Z16, Z0)
+	MULADD512(64, Z17, Z1)
+	MULADD512(128, Z18, Z2)
+	MULADD512(192, Z19, Z3)
+	TERMS_NEXT(z32term)
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, AX
+	SUBQ $32, CX
+
+z8:
+	CMPQ CX, $8
+	JLT  z1
+	VMOVUPD 0(DI), Z0
+	TERMS_BEGIN
+
+z8term:
+	TERM_LOAD(Z31)
+	MULADD512(0, Z16, Z0)
+	TERMS_NEXT(z8term)
+	VMOVUPD Z0, 0(DI)
+	ADDQ $64, DI
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  z8
+
+z1:
+	TESTQ CX, CX
+	JEQ   zdone
+	VMOVSD (DI), X0
+	TERMS_BEGIN
+
+z1term:
+	TERM_LOAD(Y15)
+	VMOVSD (R13), X8
+	VMULSD X15, X8, X8
+	VADDSD X0, X8, X0
+	TERMS_NEXT(z1term)
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, AX
+	DECQ CX
+	JMP  z1
+
+zdone:
 	VZEROUPPER
 	RET

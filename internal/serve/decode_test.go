@@ -151,6 +151,9 @@ var fuzzSeeds = []string{
 	`{"plan":"p","b":[1,2,3]}`,
 	`{"plan":"p","b":[1,2,3,4,5]}`,
 	`{"plan":"p","b":{}}`,
+	`{"plan"="p","b":[1,2,3,4]}`,
+	`{"plan"`,
+	`{"plan":"p","x":[1,2`,
 	`{"plan":"q","b":[1,2,3,4]}`,
 	`{"plan":"q","b":[1,,]}`,
 	`{"b":[1,2,3,4]}`,
