@@ -1,404 +1,20 @@
 package twoface_test
 
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index), plus ablation
-// benches for the design choices the paper calls out and microbenchmarks of
-// the hot kernels.
-//
-// The figure/table benches run the experiment harness in timing-only mode
-// and report the modeled metric of interest via b.ReportMetric; one
-// iteration takes seconds, so `go test -bench .` runs each once. Set
-// TWOFACE_BENCH_SCALE (default 0.1) to change the matrix scale and
-// TWOFACE_BENCH_P (default 8) for the node count.
+// Wall-clock microbenchmarks of the hot kernels and of whole Two-Face runs
+// with real arithmetic. The paper's tables and figures, the section 5.3
+// search and the ablations are modeled-time experiments: twoface-bench -exp
+// regenerates them, and results_reference.txt gates them.
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
-	"sync"
 	"testing"
 
 	"twoface"
 	"twoface/internal/atomicfloat"
-	"twoface/internal/baselines"
-	"twoface/internal/cluster"
-	"twoface/internal/core"
-	"twoface/internal/gen"
-	"twoface/internal/harness"
 	"twoface/internal/kernels"
 	"twoface/internal/sparse"
 )
-
-func newCluster(cfg harness.Config) (*cluster.Cluster, error) {
-	return cluster.New(cfg.Nodes, cfg.Net())
-}
-
-func benchConfig() harness.Config {
-	scale := 0.1
-	if s := os.Getenv("TWOFACE_BENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			scale = v
-		}
-	}
-	p := 8
-	if s := os.Getenv("TWOFACE_BENCH_P"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			p = v
-		}
-	}
-	return harness.Config{Scale: scale, Seed: 42, Options: twoface.Options{Nodes: p, Workers: 2, TimingOnly: true}}
-}
-
-// Workloads are cached across benchmarks: generating friendster's millions
-// of nonzeros dominates otherwise.
-var (
-	wlMu    sync.Mutex
-	wlCache = map[string]*harness.Workload{}
-)
-
-func workload(b *testing.B, name string) *harness.Workload {
-	b.Helper()
-	wlMu.Lock()
-	defer wlMu.Unlock()
-	if w, ok := wlCache[name]; ok {
-		return w
-	}
-	spec, err := gen.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := benchConfig().BuildWorkload(spec)
-	wlCache[name] = w
-	return w
-}
-
-// BenchmarkTable1_Matrices regenerates the matrix inventory.
-func BenchmarkTable1_Matrices(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := cfg.Table1()
-		if len(t.RowHead) != 8 {
-			b.Fatal("table 1 incomplete")
-		}
-	}
-}
-
-// BenchmarkFigure2_AsyncVsCollectives regenerates the motivation study:
-// Async Fine vs Allgather for K in {32, 128}.
-func BenchmarkFigure2_AsyncVsCollectives(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := cfg.Figure2()
-		b.ReportMetric(t.Value("web", "K=128"), "web-speedup")
-		b.ReportMetric(t.Value("twitter", "K=128"), "twitter-speedup")
-	}
-}
-
-func speedupFigure(b *testing.B, k int) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := cfg.SpeedupFigure(k)
-		b.ReportMetric(t.Value("avg", "TwoFace"), "avg-speedup-vs-DS2")
-		b.ReportMetric(t.Value("web", "TwoFace"), "web-speedup")
-	}
-}
-
-// BenchmarkFigure7_K32 regenerates the K=32 speedup figure.
-func BenchmarkFigure7_K32(b *testing.B) { speedupFigure(b, 32) }
-
-// BenchmarkFigure8_K128 regenerates the K=128 speedup figure (the paper's
-// headline 2.11x average over dense shifting).
-func BenchmarkFigure8_K128(b *testing.B) { speedupFigure(b, 128) }
-
-// BenchmarkFigure9_K512 regenerates the K=512 speedup figure.
-func BenchmarkFigure9_K512(b *testing.B) { speedupFigure(b, 512) }
-
-// BenchmarkTable3_Calibration fits the six model coefficients by regression
-// on profiled runs (paper section 6.2).
-func BenchmarkTable3_Calibration(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fitted, truth, err := cfg.Calibrate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fitted.GammaA/truth.GammaA, "gammaA-fit-ratio")
-		b.ReportMetric(fitted.BetaA/truth.BetaA, "betaA-fit-ratio")
-	}
-}
-
-// BenchmarkTable5_AbsoluteTimes regenerates the absolute-time table for DS2
-// and Two-Face at K in {32, 128, 512}.
-func BenchmarkTable5_AbsoluteTimes(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := cfg.Table5()
-		b.ReportMetric(t.Value("K=128 Two-Face", "web")*1e6, "web-twoface-us")
-		b.ReportMetric(t.Value("K=128 DS2", "web")*1e6, "web-ds2-us")
-	}
-}
-
-// BenchmarkFigure10_Breakdown regenerates the DS4-vs-Two-Face time
-// breakdown at K=128.
-func BenchmarkFigure10_Breakdown(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := cfg.Figure10()
-		b.ReportMetric(t.Value("web", "2F/DS4 time"), "web-2F-over-DS4")
-		b.ReportMetric(t.Value("twitter", "2F SyncComm"), "twitter-2F-synccomm")
-	}
-}
-
-// BenchmarkFigure11_Scaling regenerates the strong-scaling study
-// (p = 1..16 by default; the paper goes to 64).
-func BenchmarkFigure11_Scaling(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		tables := cfg.Figure11([]int{1, 2, 4, 8, 16})
-		for _, t := range tables {
-			if t.Title == "" {
-				b.Fatal("missing table")
-			}
-		}
-		web := tables[6] // Table 1 order: web is 7th
-		b.ReportMetric(web.Value("TwoFace", "p=1")/web.Value("TwoFace", "p=16"), "web-scaling-1to16")
-	}
-}
-
-// BenchmarkTable6_Preprocessing regenerates the preprocessing-overhead
-// table (modeled preprocessing cost per SpMM).
-func BenchmarkTable6_Preprocessing(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := cfg.Table6()
-		b.ReportMetric(t.Value("avg", "t_norm"), "avg-tnorm")
-		b.ReportMetric(t.Value("avg", "t_norm_io"), "avg-tnorm-io")
-	}
-}
-
-// BenchmarkFigure12_Sensitivity regenerates the coefficient-sensitivity
-// grids.
-func BenchmarkFigure12_Sensitivity(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		tables := cfg.Figure12()
-		if len(tables) != 3 {
-			b.Fatal("want 3 sensitivity grids")
-		}
-		b.ReportMetric(tables[1].Value("1.0x", "0.8x"), "betaS-0.8x-reltime")
-	}
-}
-
-// --- Ablation benches: design choices DESIGN.md section 3 calls out. ---
-
-func runTwoFaceModeled(b *testing.B, w *harness.Workload, k int, mutate func(*core.Params)) float64 {
-	b.Helper()
-	cfg := benchConfig()
-	params := core.Params{
-		P: cfg.Nodes, K: k, W: w.W,
-		Coef:           cfg.Coef(),
-		MemBudgetElems: cfg.MemBudget(),
-	}
-	if mutate != nil {
-		mutate(&params)
-	}
-	prep, err := core.Preprocess(w.A, params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clu, err := newCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := core.Exec(prep, w.B(k), clu, core.ExecOptions{SkipCompute: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.ModeledSeconds
-}
-
-// BenchmarkAblation_Coalescing sweeps the async row-coalescing gap
-// (section 5.2.3; Table 2 default 127/K+1).
-func BenchmarkAblation_Coalescing(b *testing.B) {
-	for _, gap := range []int32{1, 2, 8, 32} {
-		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) {
-			w := workload(b, "kmer")
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, w, 32, func(p *core.Params) { p.MaxCoalesceGap = gap })
-				b.ReportMetric(t*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_RowPanelHeight sweeps the sync row-panel height
-// (Table 2 default 32).
-func BenchmarkAblation_RowPanelHeight(b *testing.B) {
-	for _, h := range []int32{8, 32, 128} {
-		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
-			w := workload(b, "web")
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, w, 128, func(p *core.Params) { p.RowPanelHeight = h })
-				b.ReportMetric(t*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_StripeWidth sweeps W around the Table 1 value (the
-// paper found widths must scale with the matrix).
-func BenchmarkAblation_StripeWidth(b *testing.B) {
-	w := workload(b, "twitter")
-	for _, f := range []int32{4, 2, 1} {
-		b.Run(fmt.Sprintf("W=%d", w.W/f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, w, 128, func(p *core.Params) { p.W = w.W / f })
-				b.ReportMetric(t*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_ThreadSplit sweeps the modeled async-compute thread
-// allocation (Table 2 dedicates 8 of 128 threads).
-func BenchmarkAblation_ThreadSplit(b *testing.B) {
-	for _, threads := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("asyncComp=%d", threads), func(b *testing.B) {
-			w := workload(b, "mawi")
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, w, 128, func(p *core.Params) {
-					p.ModelAsyncCompThreads = threads
-					p.ModelSyncThreads = 128 - 2 - threads
-				})
-				b.ReportMetric(t*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_Sampling measures the modeled time of sampled SpMM
-// (paper section 5.4 future work) at decreasing keep rates: transfers stay
-// constant while compute shrinks.
-func BenchmarkAblation_Sampling(b *testing.B) {
-	for _, keep := range []float64{1.0, 0.5, 0.1} {
-		b.Run(fmt.Sprintf("keep=%.1f", keep), func(b *testing.B) {
-			w := workload(b, "mawi")
-			cfg := benchConfig()
-			params := core.Params{P: cfg.Nodes, K: 128, W: w.W, Coef: cfg.Coef(), MemBudgetElems: cfg.MemBudget()}
-			prep, err := core.Preprocess(w.A, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			clu, err := newCluster(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := core.Exec(prep, w.B(128), clu, core.ExecOptions{SkipCompute: true, SampleKeep: keep, SampleSeed: uint64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.ModeledSeconds*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BalancedPartition compares equal row blocks (the
-// paper's choice) against nnz-balanced blocks on the load-imbalanced mawi
-// analog (extension; see internal/core/balance.go).
-func BenchmarkAblation_BalancedPartition(b *testing.B) {
-	for _, balanced := range []bool{false, true} {
-		name := "equal"
-		if balanced {
-			name = "balanced"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := workload(b, "mawi")
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, w, 128, func(p *core.Params) { p.BalanceRows = balanced })
-				b.ReportMetric(t*1e6, "modeled-us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_RCMReorder measures Two-Face on a scatter-destroyed
-// banded matrix before and after RCM reordering restores its locality
-// (extension; see internal/sparse/rcm.go).
-func BenchmarkAblation_RCMReorder(b *testing.B) {
-	cfg := benchConfig()
-	spec, err := gen.ByName("stokes")
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := spec.Build(cfg.Scale, cfg.Seed)
-	// Destroy the ordering with a deterministic Fisher-Yates permutation.
-	n := a.NumRows
-	shuffle := make([]int32, n)
-	for i := range shuffle {
-		shuffle[i] = int32(i)
-	}
-	state := uint64(0x9e3779b97f4a7c15)
-	for i := int32(n - 1); i > 0; i-- {
-		state = state*6364136223846793005 + 1442695040888963407
-		j := int32(state % uint64(i+1))
-		shuffle[i], shuffle[j] = shuffle[j], shuffle[i]
-	}
-	shuffled, err := a.PermuteSymmetric(shuffle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	perm, err := sparse.RCM(shuffled)
-	if err != nil {
-		b.Fatal(err)
-	}
-	restored, err := shuffled.PermuteSymmetric(perm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		m    *sparse.COO
-	}{{"shuffled", shuffled}, {"rcm", restored}} {
-		b.Run(c.name, func(b *testing.B) {
-			wl := cfg.BuildWorkload(spec)
-			wl.A = c.m
-			for i := 0; i < b.N; i++ {
-				t := runTwoFaceModeled(b, wl, 128, nil)
-				b.ReportMetric(t*1e6, "modeled-us")
-				b.ReportMetric(float64(c.m.Bandwidth()), "bandwidth")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_TargetContention charges targets a fraction of each
-// one-sided transfer (the resource contention the paper cites for limiting
-// async threads) and measures Async Fine's degradation on kmer, the most
-// get-heavy workload.
-func BenchmarkAblation_TargetContention(b *testing.B) {
-	for _, f := range []float64{0, 0.5, 1.0} {
-		b.Run(fmt.Sprintf("contention=%.1f", f), func(b *testing.B) {
-			w := workload(b, "kmer")
-			cfg := benchConfig()
-			net := cfg.Net()
-			net.TargetContention = f
-			for i := 0; i < b.N; i++ {
-				clu, err := cluster.New(cfg.Nodes, net)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := baselines.AsyncFine(w.A, w.B(32), clu, w.W, baselines.Options{SkipCompute: true, MemBudgetElems: cfg.MemBudget()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.ModeledSeconds*1e6, "modeled-us")
-			}
-		})
-	}
-}
 
 // --- Microbenchmarks with real arithmetic (wall time is the metric). ---
 

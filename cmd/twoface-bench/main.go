@@ -1,5 +1,6 @@
 // Command twoface-bench regenerates the paper's evaluation tables and
-// figures on the simulated cluster.
+// figures on the simulated cluster, the section 5.3 parameter search, and
+// the extension ablations.
 //
 // Usage:
 //
@@ -7,8 +8,11 @@
 //	twoface-bench -exp fig8 -p 8 -scale 1  # one experiment
 //	twoface-bench -exp fig11 -full         # add p=32,64 to the scaling study
 //
-// Experiments: table1, fig2, fig7, fig8, fig9, table3, table5, fig10,
-// fig11, table6, fig12, all.
+// Experiments, in the order -exp all runs them: table1, fig2, fig7, fig8,
+// fig9, table3 (the section 6.2 calibration), table5, fig10, fig11, table6,
+// fig12, volume (received bytes), comm (one-sided aggregation and row
+// cache), seeds (generator-seed spread), tune (the section 5.3 search) and
+// ablations (one knob at a time).
 package main
 
 import (
@@ -56,7 +60,7 @@ type cli struct {
 
 // register declares every flag on fs, bound to c's fields.
 func (c *cli) register(fs *flag.FlagSet) {
-	fs.StringVar(&c.exp, "exp", "all", "experiment to run: table1|fig2|fig7|fig8|fig9|table3|table5|fig10|fig11|table6|fig12|volume|comm|seeds|all")
+	fs.StringVar(&c.exp, "exp", "all", "experiment to run: "+strings.Join(experimentNames(), "|"))
 	fs.Float64Var(&c.scale, "scale", 1.0, "matrix scale relative to the registry (1.0 = 1/512 of the paper)")
 	fs.IntVar(&c.p, "p", 8, "number of simulated nodes")
 	fs.Uint64Var(&c.seed, "seed", 42, "generator seed")
@@ -168,15 +172,14 @@ func run(c cli) error {
 		srv.SetStatus("running")
 		fmt.Printf("ops endpoint: http://%s (/metrics, /report, /healthz, /debug/pprof)\n", srv.Addr())
 	}
-	exp := strings.ToLower(c.exp)
-	if err := runExperiments(cfg, exp, c.full, c.asJSON, c.commOut); err != nil {
+	if err := runExperiments(cfg, c); err != nil {
 		return err
 	}
 	if srv != nil {
 		srv.SetStatus("done")
 	}
 	if c.report != "" {
-		if err := writeReport(c.report, cfg, exp, time.Since(start), srv); err != nil {
+		if err := writeReport(c.report, cfg, strings.ToLower(c.exp), time.Since(start), srv); err != nil {
 			return err
 		}
 	}
@@ -245,103 +248,96 @@ func compareReports(spec string, failOnRegress bool) error {
 	return nil
 }
 
-func runExperiments(cfg harness.Config, exp string, full bool, asJSON bool, commOut string) error {
-	show := func(t *harness.Table) {
-		if asJSON {
+// experiment is one value of -exp: run returns its tables in print order.
+type experiment struct {
+	name string
+	run  func(cfg harness.Config, c cli) ([]*harness.Table, error)
+}
+
+func one(t *harness.Table) ([]*harness.Table, error) { return []*harness.Table{t}, nil }
+
+func oneErr(t *harness.Table, err error) ([]*harness.Table, error) { return []*harness.Table{t}, err }
+
+// experiments is the registry, in the order -exp all runs it. The paper's
+// tables and figures come first, the extensions after them, so the gated
+// results_reference.txt only ever grows at its end.
+var experiments = []experiment{
+	{"table1", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.Table1()) }},
+	{"fig2", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.Figure2()) }},
+	{"fig7", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.SpeedupFigure(32)) }},
+	{"fig8", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.SpeedupFigure(128)) }},
+	{"fig9", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.SpeedupFigure(512)) }},
+	{"table3", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return oneErr(cfg.Table3()) }},
+	{"table5", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.Table5()) }},
+	{"fig10", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.Figure10()) }},
+	{"fig11", func(cfg harness.Config, c cli) ([]*harness.Table, error) {
+		counts := []int{1, 2, 4, 8, 16}
+		if c.full {
+			counts = append(counts, 32, 64)
+		}
+		return cfg.Figure11(counts), nil
+	}},
+	{"table6", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.Table6()) }},
+	{"fig12", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return cfg.Figure12(), nil }},
+	{"volume", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.CommVolume(128)) }},
+	{"comm", func(cfg harness.Config, c cli) ([]*harness.Table, error) {
+		rows, t, err := cfg.CommAggregation(128)
+		if err != nil || c.commOut == "" {
+			return []*harness.Table{t}, err
+		}
+		b, err := json.MarshalIndent(rows, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(c.commOut, append(b, '\n'), 0o644); err != nil {
+			return nil, err
+		}
+		fmt.Printf("comm aggregation rows: %s\n", c.commOut)
+		return one(t)
+	}},
+	{"seeds", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return one(cfg.SeedSweep(128, nil)) }},
+	{"tune", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return oneErr(cfg.Tune()) }},
+	{"ablations", func(cfg harness.Config, _ cli) ([]*harness.Table, error) { return cfg.Ablations() }},
+}
+
+// experimentNames lists the registry's names, then "all".
+func experimentNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return append(names, "all")
+}
+
+// runExperiments runs the experiment c.exp names, or every one for "all",
+// printing each experiment's tables as it finishes.
+func runExperiments(cfg harness.Config, c cli) error {
+	exp := strings.ToLower(c.exp)
+	ran := false
+	for _, e := range experiments {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		tables, err := e.run(cfg, c)
+		if err != nil {
+			return err
+		}
+		for _, t := range tables {
+			if !c.asJSON {
+				fmt.Println(t.String())
+				continue
+			}
 			b, err := t.JSON()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "twoface-bench: json:", err)
-				return
+				continue
 			}
 			fmt.Println(string(b))
-			return
 		}
-		fmt.Println(t.String())
-	}
-	want := func(name string) bool { return exp == "all" || exp == name }
-	ran := false
-
-	if want("table1") {
-		show(cfg.Table1())
-		ran = true
-	}
-	if want("fig2") {
-		show(cfg.Figure2())
-		ran = true
-	}
-	for _, fk := range []struct {
-		name string
-		k    int
-	}{{"fig7", 32}, {"fig8", 128}, {"fig9", 512}} {
-		if want(fk.name) {
-			show(cfg.SpeedupFigure(fk.k))
-			ran = true
-		}
-	}
-	if want("table3") {
-		t, err := cfg.Table3()
-		if err != nil {
-			return err
-		}
-		show(t)
-		ran = true
-	}
-	if want("table5") {
-		show(cfg.Table5())
-		ran = true
-	}
-	if want("fig10") {
-		show(cfg.Figure10())
-		ran = true
-	}
-	if want("fig11") {
-		counts := []int{1, 2, 4, 8, 16}
-		if full {
-			counts = append(counts, 32, 64)
-		}
-		for _, t := range cfg.Figure11(counts) {
-			show(t)
-		}
-		ran = true
-	}
-	if want("table6") {
-		show(cfg.Table6())
-		ran = true
-	}
-	if want("fig12") {
-		for _, t := range cfg.Figure12() {
-			show(t)
-		}
-		ran = true
-	}
-	if want("volume") {
-		show(cfg.CommVolume(128))
-		ran = true
-	}
-	if want("comm") {
-		rows, t, err := cfg.CommAggregation(128)
-		if err != nil {
-			return err
-		}
-		show(t)
-		if commOut != "" {
-			b, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(commOut, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("comm aggregation rows: %s\n", commOut)
-		}
-		ran = true
-	}
-	if want("seeds") {
-		show(cfg.SeedSweep(128, nil))
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (want one of %s)", c.exp, strings.Join(experimentNames(), ", "))
 	}
 	return nil
 }

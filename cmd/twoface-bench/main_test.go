@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"twoface"
+	"twoface/internal/harness"
 	"twoface/internal/kernels"
 )
 
@@ -178,5 +181,82 @@ func TestKernelTogglesReachTable3(t *testing.T) {
 	}
 	if !kernels.FMAAllowed() {
 		t.Error("-allow-fma did not allow the fused kernels")
+	}
+}
+
+// Every registered experiment runs in-process at scale 0.02 on 4 nodes, and
+// each of its tables is complete: a label for every row and column, a cell
+// at every crossing, and at least one value. The section 5.3 search and the
+// ablations pin their workers, so a second run prints the same text.
+func TestEveryExperiment(t *testing.T) {
+	c := parse(t, "-scale", "0.02", "-p", "4")
+	cfg, err := c.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]int{"fig11": 8, "fig12": 3, "ablations": 10}
+	for _, e := range experiments {
+		t.Run(e.name, func(t *testing.T) {
+			render := func() []*harness.Table {
+				got, err := e.run(cfg, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			got := render()
+			if want := max(1, tables[e.name]); len(got) != want {
+				t.Errorf("%d tables, want %d", len(got), want)
+			}
+			for _, tab := range got {
+				if tab.Title == "" || len(tab.RowHead) == 0 || len(tab.ColHead) == 0 || len(tab.Cells) != len(tab.RowHead) {
+					t.Fatalf("table %q has %d row labels, %d column labels, %d rows",
+						tab.Title, len(tab.RowHead), len(tab.ColHead), len(tab.Cells))
+				}
+				values := 0
+				for i, row := range tab.Cells {
+					if tab.RowHead[i] == "" || len(row) != len(tab.ColHead) || len(tab.Values[i]) != len(tab.ColHead) {
+						t.Errorf("%s: row %d (%q) has %d cells for %d columns", tab.Title, i, tab.RowHead[i], len(row), len(tab.ColHead))
+					}
+					for _, v := range tab.Values[i] {
+						if !math.IsNaN(v) {
+							values++
+						}
+					}
+				}
+				if values == 0 {
+					t.Errorf("%s: no values", tab.Title)
+				}
+			}
+			if e.name != "tune" && e.name != "ablations" {
+				return
+			}
+			again := render()
+			for i := range min(len(got), len(again)) {
+				if a, b := got[i].String(), again[i].String(); a != b {
+					t.Errorf("a second run printed different text:\n%s\n---\n%s", a, b)
+				}
+			}
+		})
+	}
+}
+
+// -exp takes the registry's names, lists them in its help, and names them
+// all when it refuses one.
+func TestUnknownExperimentListsNames(t *testing.T) {
+	err := run(parse(t, "-exp", "tabel1"))
+	if err == nil {
+		t.Fatal("-exp tabel1 ran")
+	}
+	fs := flag.NewFlagSet("twoface-bench", flag.ContinueOnError)
+	new(cli).register(fs)
+	usage := fs.Lookup("exp").Usage
+	for _, name := range experimentNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+		if !strings.Contains(usage, name) {
+			t.Errorf("-exp help %q does not name %s", usage, name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"twoface/internal/cluster"
 	"twoface/internal/core"
 	"twoface/internal/gen"
 	"twoface/internal/model"
@@ -14,15 +13,16 @@ import (
 // configurations (three stripe widths x three forced sync/async splits),
 // collects per-node (features, observed times) samples, and fits the six
 // model coefficients by linear regression. It returns the fitted
-// coefficients alongside the machine-truth values for comparison.
+// coefficients, the machine-truth values they estimate, and the fit's
+// quality.
 //
 // It stays on core directly: it sweeps ForceSplit and reads each rank's
 // NodePart features, neither of which the library facade exposes.
-func (c Config) Calibrate() (fitted, truth model.Coefficients, err error) {
+func (c Config) Calibrate() (fitted, truth model.Coefficients, diag model.Diagnostics, err error) {
 	cc := c.normalize()
 	spec, err := gen.ByName("twitter")
 	if err != nil {
-		return fitted, truth, err
+		return fitted, truth, diag, err
 	}
 	w := cc.BuildWorkload(spec)
 	const k = 32
@@ -35,24 +35,11 @@ func (c Config) Calibrate() (fitted, truth model.Coefficients, err error) {
 			width = 1
 		}
 		for _, split := range splits {
-			split := split
-			params := core.Params{
-				P: cc.Nodes, K: k, W: width,
-				Coef:           cc.Coef(),
-				ForceSplit:     &split,
-				MemBudgetElems: cc.MemBudget(),
-			}
-			prep, err := core.Preprocess(w.A, params)
+			params := cc.params(w, k)
+			params.W, params.ForceSplit = width, &split
+			prep, res, err := cc.twoFace(w, params, core.ExecOptions{})
 			if err != nil {
-				return fitted, truth, fmt.Errorf("harness: calibration prep (W=%d split=%.2f): %w", width, split, err)
-			}
-			clu, err := cluster.New(cc.Nodes, cc.Net())
-			if err != nil {
-				return fitted, truth, err
-			}
-			res, err := core.Exec(prep, w.B(k), clu, core.ExecOptions{AsyncWorkers: cc.AsyncWorkers, SyncWorkers: cc.Workers, SkipCompute: cc.TimingOnly})
-			if err != nil {
-				return fitted, truth, fmt.Errorf("harness: calibration run (W=%d split=%.2f): %w", width, split, err)
+				return fitted, truth, diag, fmt.Errorf("harness: calibration run (W=%d split=%.2f): %w", width, split, err)
 			}
 			for rank, bd := range res.Breakdowns {
 				np := &prep.Nodes[rank]
@@ -69,23 +56,17 @@ func (c Config) Calibrate() (fitted, truth model.Coefficients, err error) {
 			}
 		}
 	}
-	fitted, diag, err := model.CalibrateWithDiagnostics(samples)
+	fitted, diag, err = model.CalibrateWithDiagnostics(samples)
 	if err != nil {
-		return fitted, truth, err
+		return fitted, truth, diag, err
 	}
-	lastDiagnostics = diag
-	return fitted, cc.Coef(), nil
+	return fitted, cc.Coef(), diag, nil
 }
-
-// lastDiagnostics holds the most recent calibration's fit quality for
-// Table3's rendering. Calibration runs are driven sequentially by the CLI
-// and benches, so a package variable suffices.
-var lastDiagnostics model.Diagnostics
 
 // Table3 renders the calibration outcome next to the machine-truth values
 // (the paper's Table 3 analog for this simulated system).
 func (c Config) Table3() (*Table, error) {
-	fitted, truth, err := c.Calibrate()
+	fitted, truth, diag, err := c.Calibrate()
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +91,6 @@ func (c Config) Table3() (*Table, error) {
 	t.Note = fmt.Sprintf("Fitted by least squares on 9 profiled configurations of the twitter analog (3 widths x 3 forced splits), K=32.\n"+
 		"Fit quality: R2(CommS)=%.3f R2(CommA)=%.3f R2(CompA)=%.3f — the residual is the multicast fan-out and\n"+
 		"coalescing behaviour the two-parameter-per-equation model cannot express.",
-		lastDiagnostics.R2CommS, lastDiagnostics.R2CommA, lastDiagnostics.R2CompA)
+		diag.R2CommS, diag.R2CommA, diag.R2CompA)
 	return t, nil
 }

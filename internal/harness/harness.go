@@ -8,6 +8,8 @@ import (
 	"math"
 
 	"twoface"
+	"twoface/internal/cluster"
+	"twoface/internal/core"
 	"twoface/internal/dense"
 	"twoface/internal/gen"
 	"twoface/internal/sparse"
@@ -184,6 +186,48 @@ func execute(algo Algo, w *Workload, opts twoface.Options) (*twoface.Result, *tw
 	st := plan.Stats()
 	res, err := plan.Multiply(b)
 	return res, &st, err
+}
+
+// params returns the core parameters of the Two-Face run Config.Run makes
+// of w at K=k on Nodes nodes: the workload's Table 1 width, the harness's
+// machine and memory budget, and Table 2's defaults for everything else.
+func (c Config) params(w *Workload, k int) core.Params {
+	cc := c.normalize()
+	return core.Params{P: cc.Nodes, K: k, W: w.W, Coef: cc.Coef(), MemBudgetElems: cc.MemBudget()}
+}
+
+// twoFace runs Two-Face on core directly under params, for the experiments
+// that sweep what the library facade does not expose (ForceSplit, the
+// coalescing gap, the model's thread split, BalanceRows, sampling). It runs
+// timing-only, since modeled time does not depend on the arithmetic, with
+// one sync and one async worker per rank, which fixes the order of every
+// float sum: a sweep prints the same digits on every run.
+func (c Config) twoFace(w *Workload, params core.Params, exec core.ExecOptions) (*core.Prep, *core.Result, error) {
+	prep, err := core.Preprocess(w.A, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	clu, err := cluster.New(params.P, c.normalize().Net())
+	if err != nil {
+		return nil, nil, err
+	}
+	exec.SyncWorkers, exec.AsyncWorkers, exec.SkipCompute = 1, 1, true
+	res, err := core.Exec(prep, w.B(params.K), clu, exec)
+	return prep, res, err
+}
+
+// modeled is twoFace's modeled makespan of w at K=k under the default
+// parameters, as set (if not nil) changes them.
+func (c Config) modeled(w *Workload, k int, set func(*core.Params, *core.ExecOptions)) (float64, error) {
+	params, exec := c.params(w, k), core.ExecOptions{}
+	if set != nil {
+		set(&params, &exec)
+	}
+	_, res, err := c.twoFace(w, params, exec)
+	if err != nil {
+		return 0, err
+	}
+	return res.ModeledSeconds, nil
 }
 
 // Speedup returns base/x treating OOM or error as NaN (a blank figure bar).

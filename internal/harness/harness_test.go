@@ -242,7 +242,7 @@ func TestCalibrateRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment test")
 	}
-	fitted, truth, err := testCfg().Calibrate()
+	fitted, truth, diag, err := testCfg().Calibrate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +253,9 @@ func TestCalibrateRuns(t *testing.T) {
 	// machine truth almost exactly.
 	if rel := math.Abs(fitted.GammaA-truth.GammaA) / truth.GammaA; rel > 0.05 {
 		t.Fatalf("gammaA fit off by %.1f%%", rel*100)
+	}
+	if diag.R2CompA < 0.99 {
+		t.Fatalf("R2(CompA) = %.3f, want the near-perfect compute-side fit", diag.R2CompA)
 	}
 }
 
